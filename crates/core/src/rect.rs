@@ -126,6 +126,20 @@ impl Rect {
         m
     }
 
+    /// L∞ minimum distance from the rectangle to the point `p`: the value
+    /// of `self.mindist_linf(&Rect::point(p))`, without allocating.
+    pub fn mindist_linf_point(&self, p: &[f64]) -> f64 {
+        debug_assert_eq!(p.len(), self.dims());
+        let mut m = 0.0f64;
+        for ((&lo, &hi), &v) in self.lo.iter().zip(&self.hi).zip(p) {
+            let gap = (v - hi).max(lo - v).max(0.0);
+            if gap > m {
+                m = gap;
+            }
+        }
+        m
+    }
+
     /// Squared L2 minimum distance between the rectangles.
     pub fn mindist_l2_sq(&self, other: &Rect) -> f64 {
         let mut acc = 0.0;
@@ -177,9 +191,96 @@ impl Rect {
     }
 }
 
+/// True when points `a` and `b` lie within L∞ distance `eps`: accepts
+/// exactly the pairs `Rect::point(a).mindist_linf(&Rect::point(b)) <= eps`
+/// accepts, without allocating.
+#[inline]
+pub fn linf_within(a: &[f64], b: &[f64], eps: f64) -> bool {
+    debug_assert_eq!(a.len(), b.len());
+    a.iter()
+        .zip(b)
+        .all(|(x, y)| (y - x).max(x - y).max(0.0) <= eps)
+}
+
+/// Squared L2 distance between points `a` and `b`, summed in dimension
+/// order: bit-identical to `Rect::point(a).mindist_l2_sq(&Rect::point(b))`
+/// on finite coordinates, without allocating.
+#[inline]
+pub fn l2_dist_sq(a: &[f64], b: &[f64]) -> f64 {
+    debug_assert_eq!(a.len(), b.len());
+    let mut acc = 0.0;
+    for (x, y) in a.iter().zip(b) {
+        let gap = x - y;
+        acc += gap * gap;
+    }
+    acc
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn point_tests_agree_with_rect_mindist() {
+        // Exact ties at ε, values a rounding step either side of it,
+        // signed zeros, and magnitudes far apart.
+        let eps = 0.1f64;
+        let vals = [
+            0.0,
+            -0.0,
+            eps,
+            -eps,
+            1.0,
+            1.0 - eps,
+            1.0 + eps,
+            f64::from_bits((1.0 - eps).to_bits() - 1),
+            f64::from_bits((1.0 - eps).to_bits() + 1),
+            0.3,
+            0.2,
+            0.1 + 0.2,
+            1e-300,
+            1e100,
+            -1e100,
+        ];
+        for eps in [0.1, 0.2, 1e-300, 1.0] {
+            for &a0 in &vals {
+                for &b0 in &vals {
+                    for &a1 in &[0.0, 0.05, 0.9] {
+                        let a = [a0, a1];
+                        let b = [b0, 0.0];
+                        let ra = Rect::point(&a);
+                        let rb = Rect::point(&b);
+                        assert_eq!(
+                            linf_within(&a, &b, eps),
+                            ra.mindist_linf(&rb) <= eps,
+                            "{a:?} {b:?} eps={eps}"
+                        );
+                        assert_eq!(
+                            l2_dist_sq(&a, &b).to_bits(),
+                            ra.mindist_l2_sq(&rb).to_bits(),
+                            "{a:?} {b:?}"
+                        );
+                        assert_eq!(
+                            rb.mindist_linf_point(&a).to_bits(),
+                            rb.mindist_linf(&ra).to_bits(),
+                            "{a:?} {b:?}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn mindist_linf_point_matches_point_rect() {
+        let r = Rect::new(vec![0.2, 0.4], vec![0.5, 0.9]);
+        for p in [[0.3, 0.5], [0.0, 0.5], [0.7, 1.2], [0.5, 0.4], [-1.0, 3.0]] {
+            assert_eq!(
+                r.mindist_linf_point(&p).to_bits(),
+                r.mindist_linf(&Rect::point(&p)).to_bits()
+            );
+        }
+    }
 
     #[test]
     fn empty_grows_to_point() {

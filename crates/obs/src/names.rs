@@ -50,6 +50,8 @@ pub const EXEC_WORKERS: &str = "exec.workers";
 /// left (tail imbalance).
 pub const EXEC_STEAL_WAITS: &str = "exec.steal_waits";
 
+/// Point-pair L∞ tests made by RSJ's leaf sweeps (its leaf-scan cost).
+pub const RSJ_FILTER_TESTS: &str = "rsj.filter_tests";
 /// Candidate pairs examined by the R-tree spatial join (RSJ).
 pub const RSJ_CANDIDATES: &str = "rsj.candidates";
 /// Result pairs emitted by RSJ.
@@ -158,6 +160,7 @@ pub const ALL: &[&str] = &[
     EXEC_TASKS,
     EXEC_WORKERS,
     EXEC_STEAL_WAITS,
+    RSJ_FILTER_TESTS,
     RSJ_CANDIDATES,
     RSJ_RESULTS,
     S3J_CANDIDATES,

@@ -1,7 +1,7 @@
 //! R-tree construction: Hilbert packing, generalized STR, and dynamic
 //! inserts with quadratic splits.
 
-use crate::node::{inner_capacity, leaf_capacity, InnerEntry, LeafEntry, Node};
+use crate::node::{inner_capacity, leaf_capacity, InnerEntry, Leaf, Node};
 use hdsj_core::{Dataset, Error, Rect, Result};
 use hdsj_sfc::{grid, hilbert};
 use hdsj_storage::{PageId, StorageEngine};
@@ -84,18 +84,15 @@ pub fn pack(
     if order.is_empty() {
         // Degenerate tree: a single empty leaf as root.
         let page = engine.alloc()?;
-        Node::Leaf(Vec::new()).write_to(&mut page.write(), dims)?;
+        Node::Leaf(Leaf::new(dims)).write_to(&mut page.write(), dims)?;
         return Ok((page.id(), 1));
     }
     for chunk in order.chunks(leaf_fill) {
-        let entries: Vec<LeafEntry> = chunk
-            .iter()
-            .map(|&i| LeafEntry {
-                id: i,
-                coords: ds.point(i).to_vec(),
-            })
-            .collect();
-        let node = Node::Leaf(entries);
+        let mut leaf = Leaf::with_capacity(dims, chunk.len());
+        for &i in chunk {
+            leaf.push(i, ds.point(i));
+        }
+        let node = Node::Leaf(leaf);
         let mbr = node.mbr(dims);
         let page = engine.alloc()?;
         node.write_to(&mut page.write(), dims)?;
@@ -161,7 +158,7 @@ impl DynamicTree {
             )));
         }
         let page = engine.alloc()?;
-        Node::Leaf(Vec::new()).write_to(&mut page.write(), dims)?;
+        Node::Leaf(Leaf::new(dims)).write_to(&mut page.write(), dims)?;
         Ok(DynamicTree {
             engine: engine.clone(),
             dims,
@@ -184,18 +181,15 @@ impl DynamicTree {
         loop {
             let node = Node::load(&self.engine, pid, self.dims)?;
             match node {
-                Node::Leaf(mut entries) => {
-                    entries.push(LeafEntry {
-                        id,
-                        coords: coords.to_vec(),
-                    });
-                    if entries.len() <= leaf_capacity(self.dims) {
-                        Node::Leaf(entries).store(&self.engine, pid, self.dims)?;
+                Node::Leaf(mut leaf) => {
+                    leaf.push(id, coords);
+                    if leaf.len() <= leaf_capacity(self.dims) {
+                        Node::Leaf(leaf).store(&self.engine, pid, self.dims)?;
                         self.grow_path(&path, coords)?;
                         return Ok(());
                     }
                     // Overflow: split and propagate.
-                    let (a, b) = split_leaf(entries, leaf_capacity(self.dims));
+                    let (a, b) = split_leaf(&leaf, leaf_capacity(self.dims));
                     let node_a = Node::Leaf(a);
                     let node_b = Node::Leaf(b);
                     let mbr_a = node_a.mbr(self.dims);
@@ -324,10 +318,19 @@ fn choose_subtree(entries: &[InnerEntry], rect: &Rect) -> usize {
     best
 }
 
-fn split_leaf(entries: Vec<LeafEntry>, cap: usize) -> (Vec<LeafEntry>, Vec<LeafEntry>) {
-    let rects: Vec<Rect> = entries.iter().map(|e| Rect::point(&e.coords)).collect();
+fn split_leaf(leaf: &Leaf, cap: usize) -> (Leaf, Leaf) {
+    let rects: Vec<Rect> = leaf.iter().map(|(_, p)| Rect::point(p)).collect();
     let mask = quadratic_partition(&rects, cap);
-    partition_by(entries, &mask)
+    let mut a = Leaf::new(leaf.dims());
+    let mut b = Leaf::new(leaf.dims());
+    for ((id, p), &in_a) in leaf.iter().zip(&mask) {
+        if in_a {
+            a.push(id, p);
+        } else {
+            b.push(id, p);
+        }
+    }
+    (a, b)
 }
 
 fn split_inner(entries: Vec<InnerEntry>, cap: usize) -> (Vec<InnerEntry>, Vec<InnerEntry>) {

@@ -7,6 +7,7 @@
 
 use crate::node::Node;
 use crate::tree::RTree;
+use hdsj_core::rect::l2_dist_sq;
 use hdsj_core::{Error, Rect, Result};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -82,12 +83,11 @@ impl RTree {
                     }
                 }
                 Payload::NodePage(pid) => match Node::load(self.engine(), pid, self.dims())? {
-                    Node::Leaf(entries) => {
-                        for e in entries {
-                            let d = qrect.mindist_l2_sq(&Rect::point(&e.coords));
+                    Node::Leaf(leaf) => {
+                        for (id, p) in leaf.iter() {
                             heap.push(QueueItem {
-                                dist_sq: d,
-                                payload: Payload::Point(e.id),
+                                dist_sq: l2_dist_sq(query, p),
+                                payload: Payload::Point(id),
                             });
                         }
                     }
@@ -205,17 +205,15 @@ impl RTree {
                     let na = Node::load(self.engine(), pa, self.dims())?;
                     let nb = Node::load(other.engine(), pb, other.dims())?;
                     match (&na, &nb) {
-                        (Node::Leaf(ea), Node::Leaf(eb)) => {
-                            for x in ea {
-                                for y in eb {
-                                    if self_mode && pa == pb && x.id >= y.id {
+                        (Node::Leaf(la), Node::Leaf(lb)) => {
+                            for (xi, xp) in la.iter() {
+                                for (yi, yp) in lb.iter() {
+                                    if self_mode && pa == pb && xi >= yi {
                                         continue;
                                     }
-                                    let d = Rect::point(&x.coords)
-                                        .mindist_l2_sq(&Rect::point(&y.coords));
                                     heap.push(PairItem {
-                                        dist_sq: d,
-                                        payload: PairPayload::Points(x.id, y.id),
+                                        dist_sq: l2_dist_sq(xp, yp),
+                                        payload: PairPayload::Points(xi, yi),
                                     });
                                 }
                             }

@@ -15,8 +15,9 @@
 //!   with quadratic splits ([`build::BuildStrategy`]);
 //! * [`tree`] — the [`tree::RTree`] handle with invariant checking;
 //! * [`join`] — [`RsjJoin`]: the Brinkhoff/Kriegel/Seeger synchronized
-//!   traversal, pruning node pairs by L∞ MBR mindist and sweeping leaf
-//!   pairs along dimension 0.
+//!   traversal, pruning node pairs by L∞ MBR mindist and plane-sweeping
+//!   each leaf pair on the widest axis of its MBRs' intersection, over
+//!   only the points within ε of the other leaf.
 #![forbid(unsafe_code)]
 
 pub mod build;

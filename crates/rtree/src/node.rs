@@ -36,13 +36,81 @@ pub fn inner_capacity(dims: usize) -> usize {
     (PAGE_SIZE - HEADER) / (8 + 16 * dims)
 }
 
-/// An entry of a leaf node: a point and its dataset index.
+/// A leaf node's points, decoded flat: their dataset indices and their
+/// coordinates row-major, `dims` values per point.
 #[derive(Clone, Debug, PartialEq)]
-pub struct LeafEntry {
-    /// Index of the point in its dataset.
-    pub id: u32,
-    /// The point's coordinates.
-    pub coords: Vec<f64>,
+pub struct Leaf {
+    dims: usize,
+    ids: Vec<u32>,
+    coords: Vec<f64>,
+}
+
+impl Leaf {
+    /// An empty leaf of dimensionality `dims`.
+    pub fn new(dims: usize) -> Leaf {
+        Leaf::with_capacity(dims, 0)
+    }
+
+    /// An empty leaf with room for `n` points.
+    pub fn with_capacity(dims: usize, n: usize) -> Leaf {
+        Leaf {
+            dims,
+            ids: Vec::with_capacity(n),
+            coords: Vec::with_capacity(n * dims),
+        }
+    }
+
+    /// Appends point `id` with coordinates `p`.
+    pub fn push(&mut self, id: u32, p: &[f64]) {
+        assert_eq!(p.len(), self.dims, "point dimensionality differs from leaf");
+        self.ids.push(id);
+        self.coords.extend_from_slice(p);
+    }
+
+    /// Dimensionality of the points.
+    pub fn dims(&self) -> usize {
+        self.dims
+    }
+
+    /// Number of points.
+    pub fn len(&self) -> usize {
+        self.ids.len()
+    }
+
+    /// True when the leaf holds no points.
+    pub fn is_empty(&self) -> bool {
+        self.ids.is_empty()
+    }
+
+    /// Dataset indices of the points, in page order.
+    pub fn ids(&self) -> &[u32] {
+        &self.ids
+    }
+
+    /// Coordinates of the `k`-th point.
+    #[inline]
+    pub fn point(&self, k: usize) -> &[f64] {
+        &self.coords[k * self.dims..(k + 1) * self.dims]
+    }
+
+    /// `(id, coordinates)` of every point, in page order.
+    pub fn iter(&self) -> impl Iterator<Item = (u32, &[f64])> + '_ {
+        self.ids
+            .iter()
+            .enumerate()
+            .map(move |(k, &id)| (id, self.point(k)))
+    }
+
+    /// The MBR of the points.
+    pub fn mbr(&self) -> Rect {
+        let mut mbr = Rect::empty(self.dims);
+        // allow(hdsj::lifecycle_poll): per-node entries, bounded by the
+        // page fan-out.
+        for (_, p) in self.iter() {
+            mbr.grow_point(p);
+        }
+        mbr
+    }
 }
 
 /// An entry of an inner node: a child page and its MBR.
@@ -58,7 +126,7 @@ pub struct InnerEntry {
 #[derive(Clone, Debug, PartialEq)]
 pub enum Node {
     /// Leaf level: points.
-    Leaf(Vec<LeafEntry>),
+    Leaf(Leaf),
     /// Interior level: children with MBRs.
     Inner(Vec<InnerEntry>),
 }
@@ -84,24 +152,18 @@ impl Node {
 
     /// The union MBR of all entries.
     pub fn mbr(&self, dims: usize) -> Rect {
-        let mut mbr = Rect::empty(dims);
         match self {
-            Node::Leaf(entries) => {
-                // allow(hdsj::lifecycle_poll): per-node entries, bounded
-                // by the page fan-out.
-                for e in entries {
-                    mbr.grow_point(&e.coords);
-                }
-            }
+            Node::Leaf(leaf) => leaf.mbr(),
             Node::Inner(entries) => {
+                let mut mbr = Rect::empty(dims);
                 // allow(hdsj::lifecycle_poll): per-node entries, bounded
                 // by the page fan-out.
                 for e in entries {
                     mbr.grow_rect(&e.mbr);
                 }
+                mbr
             }
         }
-        mbr
     }
 
     /// Serializes into `page`. Errors when the node exceeds the page.
@@ -119,14 +181,14 @@ impl Node {
         page.put_u16(COUNT_OFFSET, count as u16);
         let mut off = HEADER;
         match self {
-            Node::Leaf(entries) => {
+            Node::Leaf(leaf) => {
+                debug_assert_eq!(leaf.dims(), dims);
                 // allow(hdsj::lifecycle_poll): serializes one page's
                 // entries, bounded by the page fan-out.
-                for e in entries {
-                    debug_assert_eq!(e.coords.len(), dims);
-                    page.put_u32(off, e.id);
+                for (id, p) in leaf.iter() {
+                    page.put_u32(off, id);
                     off += 4;
-                    for &c in &e.coords {
+                    for &c in p {
                         page.put_f64(off, c);
                         off += 8;
                     }
@@ -160,18 +222,16 @@ impl Node {
         let mut off = HEADER;
         match kind {
             KIND_LEAF => {
-                let mut entries = Vec::with_capacity(count);
+                let mut leaf = Leaf::with_capacity(dims, count);
                 for _ in 0..count {
-                    let id = page.get_u32(off);
+                    leaf.ids.push(page.get_u32(off));
                     off += 4;
-                    let mut coords = Vec::with_capacity(dims);
                     for _ in 0..dims {
-                        coords.push(page.get_f64(off));
+                        leaf.coords.push(page.get_f64(off));
                         off += 8;
                     }
-                    entries.push(LeafEntry { id, coords });
                 }
-                Ok(Node::Leaf(entries))
+                Ok(Node::Leaf(leaf))
             }
             KIND_INNER => {
                 let mut entries = Vec::with_capacity(count);
@@ -233,13 +293,11 @@ mod tests {
     #[test]
     fn leaf_round_trip() {
         let dims = 3;
-        let entries: Vec<LeafEntry> = (0..5)
-            .map(|i| LeafEntry {
-                id: i,
-                coords: vec![i as f64 * 0.1, 0.5, 1.0 - i as f64 * 0.01],
-            })
-            .collect();
-        let node = Node::Leaf(entries);
+        let mut leaf = Leaf::new(dims);
+        for i in 0..5 {
+            leaf.push(i, &[i as f64 * 0.1, 0.5, 1.0 - i as f64 * 0.01]);
+        }
+        let node = Node::Leaf(leaf);
         let mut page = Page::zeroed();
         node.write_to(&mut page, dims).unwrap();
         assert_eq!(Node::read_from(&page, dims).unwrap(), node);
@@ -264,13 +322,11 @@ mod tests {
     fn full_capacity_node_fits_exactly() {
         let dims = 7;
         let cap = leaf_capacity(dims);
-        let entries: Vec<LeafEntry> = (0..cap as u32)
-            .map(|i| LeafEntry {
-                id: i,
-                coords: vec![0.5; dims],
-            })
-            .collect();
-        let node = Node::Leaf(entries);
+        let mut leaf = Leaf::new(dims);
+        for i in 0..cap as u32 {
+            leaf.push(i, &[0.5; 7]);
+        }
+        let node = Node::Leaf(leaf);
         let mut page = Page::zeroed();
         node.write_to(&mut page, dims).unwrap();
         assert_eq!(Node::read_from(&page, dims).unwrap().len(), cap);
@@ -280,14 +336,24 @@ mod tests {
     fn overflowing_node_is_rejected() {
         let dims = 7;
         let cap = leaf_capacity(dims);
-        let entries: Vec<LeafEntry> = (0..=cap as u32)
-            .map(|i| LeafEntry {
-                id: i,
-                coords: vec![0.5; dims],
-            })
-            .collect();
+        let mut leaf = Leaf::new(dims);
+        for i in 0..=cap as u32 {
+            leaf.push(i, &[0.5; 7]);
+        }
         let mut page = Page::zeroed();
-        assert!(Node::Leaf(entries).write_to(&mut page, dims).is_err());
+        assert!(Node::Leaf(leaf).write_to(&mut page, dims).is_err());
+    }
+
+    #[test]
+    fn leaf_points_are_flat_rows() {
+        let mut leaf = Leaf::with_capacity(2, 3);
+        leaf.push(7, &[0.1, 0.2]);
+        leaf.push(3, &[0.3, 0.4]);
+        assert_eq!(leaf.len(), 2);
+        assert_eq!(leaf.ids(), &[7, 3]);
+        assert_eq!(leaf.point(1), &[0.3, 0.4]);
+        let rows: Vec<(u32, Vec<f64>)> = leaf.iter().map(|(id, p)| (id, p.to_vec())).collect();
+        assert_eq!(rows, vec![(7, vec![0.1, 0.2]), (3, vec![0.3, 0.4])]);
     }
 
     #[test]
@@ -298,17 +364,10 @@ mod tests {
 
     #[test]
     fn mbr_unions_entries() {
-        let node = Node::Leaf(vec![
-            LeafEntry {
-                id: 0,
-                coords: vec![0.2, 0.8],
-            },
-            LeafEntry {
-                id: 1,
-                coords: vec![0.6, 0.1],
-            },
-        ]);
-        let mbr = node.mbr(2);
+        let mut leaf = Leaf::new(2);
+        leaf.push(0, &[0.2, 0.8]);
+        leaf.push(1, &[0.6, 0.1]);
+        let mbr = Node::Leaf(leaf).mbr(2);
         assert_eq!(mbr.lo(), &[0.2, 0.1]);
         assert_eq!(mbr.hi(), &[0.6, 0.8]);
     }
@@ -317,10 +376,9 @@ mod tests {
     fn load_store_through_engine() {
         let engine = StorageEngine::in_memory(4);
         let pid = engine.alloc().unwrap().id();
-        let node = Node::Leaf(vec![LeafEntry {
-            id: 9,
-            coords: vec![0.25, 0.75],
-        }]);
+        let mut leaf = Leaf::new(2);
+        leaf.push(9, &[0.25, 0.75]);
+        let node = Node::Leaf(leaf);
         node.store(&engine, pid, 2).unwrap();
         assert_eq!(Node::load(&engine, pid, 2).unwrap(), node);
     }

@@ -2,6 +2,7 @@
 
 use crate::build::{self, BuildStrategy, DynamicTree};
 use crate::node::{leaf_capacity, Node};
+use hdsj_core::rect::linf_within;
 use hdsj_core::{Dataset, Error, Rect, Result};
 use hdsj_storage::{PageId, StorageEngine, PAGE_SIZE};
 
@@ -107,21 +108,20 @@ impl RTree {
                 self.dims
             )));
         }
-        let query = Rect::point(point);
         let mut out = Vec::new();
         let mut stack = vec![self.root];
         while let Some(pid) = stack.pop() {
             match Node::load(&self.engine, pid, self.dims)? {
-                Node::Leaf(entries) => {
-                    for e in entries {
-                        if query.mindist_linf(&Rect::point(&e.coords)) <= eps {
-                            out.push(e.id);
+                Node::Leaf(leaf) => {
+                    for (id, p) in leaf.iter() {
+                        if linf_within(point, p, eps) {
+                            out.push(id);
                         }
                     }
                 }
                 Node::Inner(entries) => {
                     for e in entries {
-                        if query.mindist_linf(&e.mbr) <= eps {
+                        if e.mbr.mindist_linf_point(point) <= eps {
                             stack.push(e.child);
                         }
                     }
@@ -158,26 +158,25 @@ impl RTree {
     ) -> Result<u64> {
         let node = Node::load(&self.engine, pid, self.dims)?;
         match node {
-            Node::Leaf(entries) => {
+            Node::Leaf(leaf) => {
                 if levels_left != 1 {
                     return Err(Error::Storage(format!(
                         "leaf at wrong depth ({levels_left} levels left)"
                     )));
                 }
-                for e in &entries {
-                    if let Some(p) = parent_mbr {
-                        if !p.contains_point(&e.coords) {
+                for (id, p) in leaf.iter() {
+                    if let Some(parent) = parent_mbr {
+                        if !parent.contains_point(p) {
                             return Err(Error::Storage(format!(
-                                "point {} escapes its parent MBR",
-                                e.id
+                                "point {id} escapes its parent MBR"
                             )));
                         }
                     }
-                    if !seen.insert(e.id) {
-                        return Err(Error::Storage(format!("duplicate point id {}", e.id)));
+                    if !seen.insert(id) {
+                        return Err(Error::Storage(format!("duplicate point id {id}")));
                     }
                 }
-                Ok(entries.len() as u64)
+                Ok(leaf.len() as u64)
             }
             Node::Inner(entries) => {
                 if levels_left <= 1 {
