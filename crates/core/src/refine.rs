@@ -14,10 +14,6 @@ use crate::soa::SoABlock;
 use crate::stats::JoinStats;
 use std::ops::Range;
 
-/// Smallest batch worth transposing into a SoA scratch block: below this,
-/// the gather overhead outweighs the across-candidate kernel's gain.
-const BLOCK_BATCH_MIN: usize = 16;
-
 /// Verifies candidate pairs against the exact metric and forwards survivors
 /// to the caller's sink.
 ///
@@ -38,7 +34,6 @@ pub struct Refiner<'a> {
     results: u64,
     dist_evals: u64,
     scratch: Vec<u32>,
-    soa: SoABlock,
 }
 
 impl<'a> Refiner<'a> {
@@ -62,17 +57,7 @@ impl<'a> Refiner<'a> {
             results: 0,
             dist_evals: 0,
             scratch: Vec::new(),
-            soa: SoABlock::empty(b.dims()),
         }
-    }
-
-    /// True when a batch of `n` candidates should take the SoA block path:
-    /// large enough to amortize the transpose, a vector tier is active,
-    /// and the metric has an across-candidate kernel (`Lp` does not).
-    fn batch_wants_block(&self, n: usize) -> bool {
-        n >= BLOCK_BATCH_MIN
-            && crate::simd::level() > crate::simd::Level::Scalar
-            && !matches!(self.metric.normalized(), crate::metric::Metric::Lp(_))
     }
 
     /// Offers a candidate pair; evaluates the exact metric and forwards the
@@ -110,24 +95,8 @@ impl<'a> Refiner<'a> {
     /// against the probe's orientation is exact.
     pub fn offer_batch(&mut self, i: u32, js: &[u32]) {
         self.scratch.clear();
-        let probe = self.a.point(i);
-        if self.batch_wants_block(js.len()) {
-            // Transpose the batch into the reusable SoA scratch block and
-            // run the across-candidate kernel. Decisions are bit-exact
-            // with `within_batch` (see `crate::simd`), and the gather
-            // preserves js order, so counters and emission are unchanged.
-            self.soa.gather_into(self.b, js);
-            self.metric.within_block(
-                probe,
-                &self.soa,
-                0..js.len(),
-                self.eps,
-                &mut self.scratch,
-            );
-        } else {
-            self.metric
-                .within_batch(probe, self.b, js, self.eps, &mut self.scratch);
-        }
+        self.metric
+            .within_batch(self.a.point(i), self.b, js, self.eps, &mut self.scratch);
         match self.kind {
             JoinKind::TwoSets => {
                 self.candidates += js.len() as u64;
@@ -213,9 +182,9 @@ impl<'a> Refiner<'a> {
     /// Semantics mirror [`Refiner::offer_batch`] over
     /// `&block.ids()[lanes]` exactly: same counters (self-join diagonal
     /// lanes dropped before counting), same canonical `(min, max)`
-    /// emission, same candidate order. Algorithms that tile their inner
-    /// set once per join (blocked nested loops) use this to skip the
-    /// per-batch gather.
+    /// emission, same candidate order. Algorithms that transpose their
+    /// inner set once — per join (blocked nested loops) or per cell (the
+    /// MSJ sweep's ε-windows) — use this to skip a per-batch gather.
     pub fn offer_block(&mut self, i: u32, block: &SoABlock, lanes: Range<usize>) {
         debug_assert!(lanes.end <= block.len());
         if lanes.end <= lanes.start {

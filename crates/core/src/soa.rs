@@ -14,9 +14,8 @@
 //!   tiles);
 //! * [`SoABlock::partition`] — the whole dataset cut into fixed-width
 //!   tiles, built once per join and reused for every probe;
-//! * [`SoABlock::gather`] / [`SoABlock::gather_into`] — an arbitrary id
-//!   list (the candidate batches the sweep-based algorithms produce), with
-//!   buffer reuse for per-probe scratch blocks.
+//! * [`SoABlock::gather`] — an arbitrary id list (an MSJ cell's points
+//!   in sweep order, transposed once when the cell closes).
 //!
 //! ## Padding
 //!
@@ -51,8 +50,7 @@ pub struct SoABlock {
 }
 
 impl SoABlock {
-    /// An empty block of the given dimensionality (useful as reusable
-    /// scratch for [`SoABlock::gather_into`]).
+    /// An empty block of the given dimensionality.
     pub fn empty(dims: usize) -> SoABlock {
         SoABlock {
             dims,
@@ -79,14 +77,8 @@ impl SoABlock {
     /// `ds.point(js[t])`).
     pub fn gather(ds: &Dataset, js: &[u32]) -> SoABlock {
         let mut b = SoABlock::empty(ds.dims());
-        b.gather_into(ds, js);
+        b.fill(ds, 0, js.len(), js);
         b
-    }
-
-    /// Refills this block from `js`, reusing the existing allocations —
-    /// the per-probe scratch path in batch refinement.
-    pub fn gather_into(&mut self, ds: &Dataset, js: &[u32]) {
-        self.fill(ds, 0, js.len(), js);
     }
 
     /// Cuts the whole dataset into tiles of at most `width` lanes, in
@@ -247,15 +239,14 @@ mod tests {
     }
 
     #[test]
-    fn gather_into_reuses_and_resizes() {
+    fn gather_pads_each_size_and_handles_empty() {
         let d = ds(12, 4);
-        let mut b = SoABlock::empty(4);
-        b.gather_into(&d, &[1, 2, 3, 4, 5]);
+        let b = SoABlock::gather(&d, &[1, 2, 3, 4, 5]);
         assert_eq!((b.len(), b.width()), (5, 8));
-        b.gather_into(&d, &[11]);
+        let b = SoABlock::gather(&d, &[11]);
         assert_eq!((b.len(), b.width()), (1, 4));
         assert_eq!(b.value(2, 0).to_bits(), d.point(11)[2].to_bits());
-        b.gather_into(&d, &[]);
+        let b = SoABlock::gather(&d, &[]);
         assert!(b.is_empty());
         assert_eq!(b.width(), 0);
     }

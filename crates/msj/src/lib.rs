@@ -17,9 +17,13 @@
 //! 4. **Synchronized sweep** ([`sweep`]) — one pass over the sorted stream
 //!    with a stack of "open" ancestor cells: a cube can only intersect
 //!    cubes in its own cell or in an ancestor cell, so each cell's points
-//!    are joined against the cell itself and the stack. Candidates are
-//!    pre-filtered by a dimension-0 plane sweep and refined with the exact
-//!    metric.
+//!    are joined against the cell itself and the stack. When a cell
+//!    closes, its inner points are sorted by the first coordinate and
+//!    transposed once into a per-cell [`hdsj_core::SoABlock`]. A
+//!    dimension-0 plane sweep then gives each probe one ε-window — a
+//!    contiguous lane range of a cell block — which is refined with the
+//!    exact metric by the across-candidate block kernel
+//!    (`Refiner::offer_block`), inline or on worker threads ([`parallel`]).
 //!
 //! The memory the sweep needs is the stack of at most `depth + 1` open
 //! cells — independent of dimensionality, which is the structural reason
@@ -460,29 +464,15 @@ impl Msj {
         let mut stats = JoinStats::default();
         let peak_bytes = if refine_threads <= 1 {
             let mut refiner = Refiner::new(a, b, kind, spec, sink);
-            // Batch consecutive candidates that share a probe into one
-            // `offer_batch` call, so runs long enough for the SoA
-            // across-candidate kernel take it (semantics match per-pair
-            // `offer` exactly: same counters, same canonical emission).
-            const RUN_CAP: usize = 256;
-            let mut run_i = 0u32;
-            let mut run: Vec<u32> = Vec::with_capacity(RUN_CAP);
-            let peak = {
-                let mut emit = |i: u32, j: u32| {
-                    if i != run_i || run.len() >= RUN_CAP {
-                        if !run.is_empty() {
-                            refiner.offer_batch(run_i, &run);
-                            run.clear();
-                        }
-                        run_i = i;
-                    }
-                    run.push(j);
-                };
-                sweep::sweep(&sorted, codec, a, b, kind, spec.eps, &mut emit)?
-            };
-            if !run.is_empty() {
-                refiner.offer_batch(run_i, &run);
-            }
+            let peak = sweep::sweep(
+                &sorted,
+                codec,
+                a,
+                b,
+                kind,
+                spec.eps,
+                &mut |i, block, lanes| refiner.offer_block(i, block, lanes),
+            )?;
             stats = refiner.finish(stats);
             peak
         } else {
@@ -1114,5 +1104,81 @@ mod parallel_tests {
         let mut want = VecSink::default();
         Msj::default().self_join(&ds, &spec, &mut want).unwrap();
         verify::assert_same_results("MSJ t=1", &want.pairs, &sink.pairs);
+    }
+}
+
+#[cfg(test)]
+mod tier_tests {
+    use super::*;
+    use hdsj_bruteforce::BruteForce;
+    use hdsj_core::{simd, Metric, VecSink};
+
+    /// Restores the dispatch level on drop, so a failing assertion cannot
+    /// leave the process on a forced tier.
+    struct LevelGuard(simd::Level);
+
+    impl Drop for LevelGuard {
+        fn drop(&mut self) {
+            simd::set_level(self.0);
+        }
+    }
+
+    /// One join (self-join when `b` is `None`): its pairs in emission
+    /// order and its candidate count.
+    fn run(
+        join: &mut dyn SimilarityJoin,
+        a: &Dataset,
+        b: Option<&Dataset>,
+        spec: &JoinSpec,
+    ) -> (Vec<(u32, u32)>, u64) {
+        let mut sink = VecSink::default();
+        let stats = match b {
+            None => join.self_join(a, spec, &mut sink),
+            Some(b) => join.join(a, b, spec, &mut sink),
+        }
+        .unwrap();
+        (sink.pairs, stats.candidates)
+    }
+
+    #[test]
+    fn exact_at_every_simd_tier_and_thread_count() {
+        let fourier = hdsj_data::timeseries::fourier_dataset(64, 500, 128, 11).unwrap();
+        let fourier_b = hdsj_data::timeseries::fourier_dataset(64, 400, 128, 12).unwrap();
+        let fourier_eps =
+            hdsj_data::eps_for_target_pairs(&fourier, Metric::L2, 1000.0, 20_000, 3);
+        // Every point identical: one cell holds the whole input.
+        let same = Dataset::from_rows(&vec![vec![0.4; 8]; 120]).unwrap();
+        let same_b = Dataset::from_rows(&vec![vec![0.4; 8]; 90]).unwrap();
+        let cases: [(&str, &Dataset, Option<&Dataset>, f64); 4] = [
+            ("fourier self", &fourier, None, fourier_eps),
+            ("fourier two-set", &fourier, Some(&fourier_b), fourier_eps),
+            ("identical self", &same, None, 0.05),
+            ("identical two-set", &same, Some(&same_b), 0.05),
+        ];
+        let _restore = LevelGuard(simd::level());
+        for (name, a, b, eps) in cases {
+            let spec = JoinSpec::new(eps, Metric::L2);
+            let (mut want, _) = run(&mut BruteForce::default(), a, b, &spec);
+            want.sort_unstable();
+            assert!(!want.is_empty(), "{name}: vacuous case");
+            let mut reference: Option<(Vec<(u32, u32)>, u64)> = None;
+            for level in simd::supported() {
+                simd::set_level(level);
+                for threads in [1usize, 2] {
+                    let at = format!("{name} at {level:?}, {threads} thread(s)");
+                    let (pairs, candidates) =
+                        run(&mut Msj::with_refine_threads(threads), a, b, &spec);
+                    let (ref_pairs, ref_candidates) =
+                        reference.get_or_insert_with(|| (pairs.clone(), candidates));
+                    assert_eq!(candidates, *ref_candidates, "{at}: candidates");
+                    if threads == 1 {
+                        assert_eq!(&pairs, ref_pairs, "{at}: serial emission order");
+                    }
+                    let mut sorted = pairs;
+                    sorted.sort_unstable();
+                    assert_eq!(sorted, want, "{at}: pairs differ from brute force");
+                }
+            }
+        }
     }
 }

@@ -2,12 +2,16 @@
 //!
 //! The sweep itself is inherently sequential (it follows the sorted stream),
 //! but at large ε·d the dominant cost is evaluating the exact metric on the
-//! candidate pairs it emits (see experiment E8). This module fans that
+//! candidates it emits (see experiment E8). This module fans that
 //! refinement out on [`hdsj_exec::Pool::producer_consumers`]: the sweep
-//! batches candidates into a bounded crossbeam channel and worker threads
-//! verify them through the vectorized `Metric::within_batch` kernel, each
-//! accumulating its own result list. Results are identical to the serial
-//! path (order of sink delivery aside), which the tests pin down.
+//! emits ε-windows — a probe id, a cell's `Arc<SoABlock>`, and a lane range
+//! (see [`crate::sweep`]) — and batches them into a bounded crossbeam
+//! channel, about `BATCH` candidate lanes per message. Each worker owns a
+//! [`Refiner`] over a private result list and runs every window through
+//! `Refiner::offer_block`, the same across-candidate kernel and self-join
+//! conventions as the serial path, directly on the shared cell block; no
+//! worker gathers or transposes anything. Results are identical to the
+//! serial path (order of sink delivery aside), which the tests pin down.
 //!
 //! When a tracer is installed, each worker reports a `refine-worker` span
 //! (child of the sweep span) carrying its pair/candidate counts and the
@@ -22,19 +26,26 @@
 use crate::assign::RecordCodec;
 use crate::sweep;
 use hdsj_core::obs::{names, Span};
-use hdsj_core::{Dataset, Error, JoinKind, JoinSpec, Metric, Result, SoABlock, Tracer};
+use hdsj_core::{
+    Dataset, Error, JoinKind, JoinSpec, Refiner, Result, SoABlock, Tracer, VecSink,
+};
 use hdsj_exec::Pool;
 use hdsj_storage::RecordFile;
+use std::ops::Range;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Candidate pairs per channel message: large enough to amortize channel
+/// Candidate lanes per channel message: large enough to amortize channel
 /// overhead, small enough to keep workers busy.
 const BATCH: usize = 4096;
 
-/// Smallest per-probe candidate group worth transposing into a worker's
-/// SoA scratch block for the across-candidate kernel (mirrors the
-/// refiner's batch threshold).
-const SOA_GROUP_MIN: usize = 16;
+/// One ε-window shipped to a worker: probe row `i` against `lanes` of a
+/// cell's inner block.
+struct Window {
+    i: u32,
+    block: Arc<SoABlock>,
+    lanes: Range<usize>,
+}
 
 /// `(peak_stack_bytes, matched_pairs, candidate_count)` from a refined
 /// sweep.
@@ -58,15 +69,13 @@ pub fn sweep_and_refine(
     fail_worker: Option<usize>,
 ) -> Result<RefineOutcome> {
     let threads = threads.max(1);
-    let eps = spec.eps;
-    let metric = spec.metric.normalized();
     let traced = tracer.enabled();
     let pairs_counter = tracer.counter(names::MSJ_REFINE_PAIRS);
     let candidates_counter = tracer.counter(names::MSJ_REFINE_CANDIDATES);
     let batch_hist = tracer.histogram(names::MSJ_REFINE_BATCH);
     let pool = Pool::with_tracer(threads, tracer.clone());
 
-    let (tx, rx) = crossbeam::channel::bounded::<Vec<(u32, u32)>>(threads * 4);
+    let (tx, rx) = crossbeam::channel::bounded::<Vec<Window>>(threads * 4);
     let consumers: Vec<_> = (0..threads)
         .map(|_| {
             let rx = rx.clone();
@@ -81,86 +90,42 @@ pub fn sweep_and_refine(
                     // allow(hdsj::no_panic): deliberate chaos failpoint.
                     panic!("injected refine-worker failure (worker {worker_idx})");
                 }
-                let mut pairs: Vec<(u32, u32)> = Vec::new();
-                let mut candidates = 0u64;
+                let mut sink = VecSink::default();
+                let mut refiner = Refiner::new(a, b, kind, spec, &mut sink);
                 let mut wait = Duration::ZERO;
-                let mut js: Vec<u32> = Vec::new();
-                let mut hits: Vec<u32> = Vec::new();
-                let mut soa = SoABlock::empty(b.dims());
                 loop {
                     // allow(hdsj::determinism): channel-wait timing feeds the
                     // worker's obs span only; join results never read it.
                     let blocked = Instant::now();
-                    let batch = match rx.recv() {
-                        Ok(batch) => {
-                            wait += blocked.elapsed();
-                            batch
-                        }
-                        Err(_) => {
-                            wait += blocked.elapsed();
-                            break;
-                        }
+                    let received = rx.recv();
+                    wait += blocked.elapsed();
+                    let Ok(batch) = received else {
+                        break;
                     };
-                    if traced {
-                        batch_hist.record(batch.len() as u64);
+                    let (cands_before, pairs_before, _) = refiner.counters();
+                    // The same block kernel and self-join conventions as
+                    // the serial path, so results are identical.
+                    for w in &batch {
+                        refiner.offer_block(w.i, &w.block, w.lanes.clone());
                     }
-                    let mut batch_pairs = 0u64;
-                    let mut batch_candidates = 0u64;
-                    // Group consecutive candidates that share a probe so each
-                    // group runs through one monomorphized kernel dispatch.
-                    // Kernel distances are bit-symmetric under argument swap,
-                    // so evaluating in the sweep's orientation matches the
-                    // serial canonical-order evaluation exactly.
-                    let mut k = 0;
-                    while k < batch.len() {
-                        let i = batch[k].0;
-                        js.clear();
-                        while k < batch.len() && batch[k].0 == i {
-                            let j = batch[k].1;
-                            k += 1;
-                            if kind == JoinKind::SelfJoin && j == i {
-                                continue;
-                            }
-                            js.push(j);
-                        }
-                        batch_candidates += js.len() as u64;
-                        hits.clear();
-                        // Large probe groups take the across-candidate SoA
-                        // kernel (bit-exact with within_batch, so results
-                        // are unchanged); small ones skip the transpose.
-                        if js.len() >= SOA_GROUP_MIN
-                            && hdsj_core::simd::level() > hdsj_core::simd::Level::Scalar
-                            && !matches!(metric, Metric::Lp(_))
-                        {
-                            soa.gather_into(b, &js);
-                            metric.within_block(a.point(i), &soa, 0..js.len(), eps, &mut hits);
-                        } else {
-                            metric.within_batch(a.point(i), b, &js, eps, &mut hits);
-                        }
-                        for &j in &hits {
-                            let pair = match kind {
-                                JoinKind::TwoSets => (i, j),
-                                JoinKind::SelfJoin => (i.min(j), i.max(j)),
-                            };
-                            pairs.push(pair);
-                            batch_pairs += 1;
-                        }
-                    }
-                    candidates += batch_candidates;
                     if traced {
                         // Per-batch shared increments: concurrent with the
                         // other workers, summing exactly to the totals.
-                        candidates_counter.add(batch_candidates);
-                        pairs_counter.add(batch_pairs);
+                        let (cands, pairs, _) = refiner.counters();
+                        batch_hist.record(batch.iter().map(|w| w.lanes.len() as u64).sum());
+                        candidates_counter.add(cands - cands_before);
+                        pairs_counter.add(pairs - pairs_before);
                     }
                 }
+                let (candidates, _, _) = refiner.counters();
+                drop(refiner);
                 if traced {
                     span.attr_u64("worker", worker_idx as u64);
-                    span.attr_u64("pairs", pairs.len() as u64);
+                    span.attr_u64("pairs", sink.pairs.len() as u64);
                     span.attr_u64("candidates", candidates);
                     span.attr_u64("wait_us", wait.as_micros() as u64);
                 }
-                Ok((pairs, candidates))
+                Ok((sink.pairs, candidates))
             }
         })
         .collect();
@@ -168,34 +133,38 @@ pub fn sweep_and_refine(
     // worker exit terminate the producer's sends.
     drop(rx);
 
-    // The sweep runs on the calling thread, batching candidates outward.
+    // The sweep runs on the calling thread, batching windows outward.
     // The channel send only fails if all workers died, which only happens
     // on panic — the pool's error priority (worker error first) then
     // reports the panic rather than this generic error.
     let producer = move || -> Result<u64> {
-        let mut batch: Vec<(u32, u32)> = Vec::with_capacity(BATCH);
+        let mut batch: Vec<Window> = Vec::new();
+        let mut lanes_in_batch = 0usize;
         let mut send_error = false;
         let mut send_wait = Duration::ZERO;
         let peak = {
-            let mut offer = |i: u32, j: u32| {
+            let mut ship = |i: u32, block: &Arc<SoABlock>, lanes: Range<usize>| {
                 if send_error {
                     return;
                 }
-                batch.push((i, j));
-                if batch.len() == BATCH {
+                lanes_in_batch += lanes.len();
+                batch.push(Window {
+                    i,
+                    block: Arc::clone(block),
+                    lanes,
+                });
+                if lanes_in_batch >= BATCH {
+                    lanes_in_batch = 0;
                     // allow(hdsj::determinism): backpressure timing feeds the
                     // producer's obs attrs only; join results never read it.
                     let blocked = Instant::now();
-                    if tx
-                        .send(std::mem::replace(&mut batch, Vec::with_capacity(BATCH)))
-                        .is_err()
-                    {
+                    if tx.send(std::mem::take(&mut batch)).is_err() {
                         send_error = true;
                     }
                     send_wait += blocked.elapsed();
                 }
             };
-            sweep::sweep(sorted, codec, a, b, kind, eps, &mut offer)?
+            sweep::sweep(sorted, codec, a, b, kind, spec.eps, &mut ship)?
         };
         if !batch.is_empty() {
             let _ = tx.send(batch);

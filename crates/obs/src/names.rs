@@ -101,7 +101,8 @@ pub const EXEC_CHUNK_NS: &str = "exec.chunk_ns";
 /// claim (histogram, ns) — queue/startup latency.
 pub const EXEC_QUEUE_WAIT_NS: &str = "exec.queue_wait_ns";
 
-/// Candidate batch sizes received by MSJ refine workers (histogram).
+/// Candidate lanes per window batch received by MSJ refine workers
+/// (histogram).
 pub const MSJ_REFINE_BATCH: &str = "msj.refine.batch_size";
 
 /// Brute-force join phase duration (histogram, ns).
