@@ -43,15 +43,11 @@ fn live_simd_kernels_carry_discharged_bound_proofs() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
     let report = hdsj_analyze::check_workspace(&root).expect("workspace must be readable");
     let jsonl = report.render_json();
-    for file in [
-        "crates/core/src/simd/x86.rs",
-        "crates/core/src/simd/neon.rs",
-    ] {
-        assert!(
-            jsonl.lines().any(|l| l.contains("unsafe_bounds")
-                && l.contains("\"note\"")
-                && l.contains(file)),
-            "no discharged unsafe_bounds proof recorded for {file}:\n{jsonl}"
-        );
-    }
+    let file = "crates/core/src/simd/x86.rs";
+    assert!(
+        jsonl
+            .lines()
+            .any(|l| l.contains("unsafe_bounds") && l.contains("\"note\"") && l.contains(file)),
+        "no discharged unsafe_bounds proof recorded for {file}:\n{jsonl}"
+    );
 }

@@ -2,10 +2,11 @@
 //! reference loop, across dimensionalities, for both full distances and
 //! ε-threshold `within` checks (where block-level early exit applies).
 //!
-//! The `simd` rows go through `hdsj_core::simd` at the host's best
-//! dispatch tier (override with `HDSJ_SIMD`); `simd_block` is the
-//! across-candidate SoA filter — the throughput path, with independent
-//! accumulator chains per candidate.
+//! `kernel` is the 4-lane scalar pair kernel every single-pair refine
+//! runs; `simd_block` is the across-candidate SoA filter through
+//! `hdsj_core::simd` at the host's best dispatch tier (override with
+//! `HDSJ_SIMD`) — the throughput path, with independent accumulator
+//! chains per candidate.
 // Panicking is idiomatic in test code; see clippy.toml / analyzer policy.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
@@ -50,9 +51,6 @@ fn bench_distance(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("kernel", d), &d, |b, _| {
             b.iter(|| kernels::l2_distance(black_box(&x), black_box(&y)))
         });
-        group.bench_with_input(BenchmarkId::new("simd", d), &d, |b, _| {
-            b.iter(|| simd::l2_distance(black_box(&x), black_box(&y)))
-        });
     }
     group.finish();
 }
@@ -85,13 +83,6 @@ fn bench_within(c: &mut Criterion) {
             b.iter(|| {
                 pts.iter()
                     .filter(|p| Metric::L2.within(black_box(&x), black_box(p), eps))
-                    .count()
-            })
-        });
-        group.bench_with_input(BenchmarkId::new("simd", d), &points, |b, pts| {
-            b.iter(|| {
-                pts.iter()
-                    .filter(|p| simd::l2_within(black_box(&x), black_box(p), eps))
                     .count()
             })
         });

@@ -16,10 +16,10 @@
 //!
 //! The SIMD dispatch sweep (`BENCH_0006.json`) times the d=64 L2
 //! `within` kernel at every tier the host supports — the single-chain
-//! scalar reference, the 4-lane scalar kernel, and the dispatched
-//! pair/block kernels per tier — pinning exact hit-count equality across
-//! tiers (the bit-exactness contract) and recording speedups against the
-//! 4-lane kernel along with the honest host dispatch level.
+//! scalar reference, the 4-lane scalar kernel, and the dispatched block
+//! kernels per tier — pinning exact hit-count equality across tiers (the
+//! bit-exactness contract) and recording speedups against the 4-lane
+//! kernel along with the honest host dispatch level.
 //!
 //! It also runs one traced MSJ pass (memory sink) and writes
 //! `BENCH_0005.json` with per-phase latency percentiles (p50/p90/p99/max
@@ -381,9 +381,10 @@ fn sweep_block(ds: &hdsj_core::Dataset, eps: f64, reps: usize) -> (f64, u64) {
     (median(times), hits / reps as u64)
 }
 
-/// The BENCH_0006 dispatch sweep: d=64 L2 `within` through every kernel
-/// tier the host supports, pair and block forms, against the single-chain
-/// scalar reference and the 4-lane scalar kernel. Hit counts across the
+/// The BENCH_0006 dispatch sweep: d=64 L2 `within` through the block
+/// kernel at every tier the host supports, against the single-chain
+/// scalar reference and the 4-lane scalar pair kernel (single pairs never
+/// dispatch, so one pair row covers every tier). Hit counts across the
 /// 4-lane kernel and every SIMD tier must agree *exactly* — that is the
 /// bit-exactness contract, enforced here on real workload data, not just
 /// in unit tests. ε sits at the 25% pair quantile so most candidates
@@ -417,19 +418,6 @@ fn bench_kernel_sweep(kd: &hdsj_core::Dataset, quick: bool) -> Result<()> {
     let supported = simd::supported();
     for &tier in &supported {
         simd::set_level(tier);
-        let (ms, hits) = sweep_pair(kd, eps, reps, simd::l2_within);
-        if hits != lanes4_hits {
-            simd::set_level(saved);
-            return Err(Error::Internal(format!(
-                "pair kernel at {tier:?} broke the bit-exactness contract: \
-                 {hits} hits vs 4-lane {lanes4_hits}"
-            )));
-        }
-        rows.push(SweepRow {
-            variant: format!("pair_{}", tier.name()),
-            ms,
-            hits,
-        });
         let (bms, bhits) = sweep_block(kd, eps, reps);
         if bhits != lanes4_hits {
             simd::set_level(saved);
@@ -449,7 +437,7 @@ fn bench_kernel_sweep(kd: &hdsj_core::Dataset, quick: bool) -> Result<()> {
     let mut best_speedup = 0.0f64;
     for row in &rows {
         let speedup = lanes4_ms / row.ms;
-        if row.variant.starts_with("pair_") || row.variant.starts_with("block_") {
+        if row.variant.starts_with("block_") {
             best_speedup = best_speedup.max(speedup);
         }
         println!(

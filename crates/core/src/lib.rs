@@ -30,11 +30,11 @@
 //!
 //! ## Unsafe policy
 //!
-//! The crate is `#![deny(unsafe_code)]`. Exactly two files override it
-//! with a file-level `allow`: `simd/x86.rs` and `simd/neon.rs`, which
-//! hold the explicit vector kernels. Every `unsafe` block there is an
-//! unaligned vector load/store on an in-bounds slice region or a
-//! feature-gated kernel call behind the runtime dispatch probe, each with
+//! The crate is `#![deny(unsafe_code)]`. Exactly one file overrides it
+//! with a file-level `allow`: `simd/x86.rs`, which holds the explicit
+//! SSE2/AVX2 block kernels. Every `unsafe` block there is an unaligned
+//! vector load on an in-bounds slice region or a feature-gated kernel
+//! call behind the runtime dispatch probe, each with
 //! a `SAFETY:` comment (lint R2 enforces the comment discipline, and the
 //! analyze suite pins the expected shape). All other workspace crates
 //! keep `#![forbid(unsafe_code)]`.

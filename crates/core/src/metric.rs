@@ -6,17 +6,19 @@
 //! can no longer stay under the threshold — the classic "partial distance"
 //! optimization that matters in high dimensions.
 //!
-//! Every evaluation dispatches through [`crate::simd`] to the best kernel
-//! tier the host supports (explicit AVX2/SSE2/NEON, falling back to the
-//! 4-lane scalar kernels in [`crate::kernels`]) — one dispatch per call,
-//! or one per *batch* through [`Metric::within_batch`] /
-//! [`Metric::within_range`] / [`Metric::within_block`] — with the
-//! `Lp(2)`/`Lp(1)` exponents normalized to the specialized L2/L1 kernels
-//! first. All tiers are bit-exact with each other (see [`crate::simd`]),
-//! so routing here changes speed, never results.
+//! Single pairs ([`Metric::distance`], [`Metric::within`],
+//! [`Metric::within_batch`]) run the inlined 4-lane scalar kernels in
+//! [`crate::kernels`] directly, with no dispatch. Only
+//! [`Metric::within_block`], which filters a structure-of-arrays candidate
+//! tile, goes through the runtime-dispatched SIMD tiers in
+//! [`crate::simd`]. `Lp(2)`/`Lp(1)` exponents are normalized to the
+//! specialized L2/L1 kernels first. Every tier is bit-exact with the
+//! scalar kernels (see [`crate::simd`]), so routing here changes speed,
+//! never results.
 
 use crate::dataset::Dataset;
 use crate::error::{Error, Result};
+use crate::kernels;
 use crate::simd;
 use crate::soa::SoABlock;
 use std::ops::Range;
@@ -70,10 +72,10 @@ impl Metric {
     pub fn distance(&self, a: &[f64], b: &[f64]) -> f64 {
         debug_assert_eq!(a.len(), b.len());
         match self.normalized() {
-            Metric::L1 => simd::l1_distance(a, b),
-            Metric::L2 => simd::l2_distance(a, b),
-            Metric::Linf => simd::linf_distance(a, b),
-            Metric::Lp(p) => simd::lp_distance(a, b, p),
+            Metric::L1 => kernels::l1_distance(a, b),
+            Metric::L2 => kernels::l2_distance(a, b),
+            Metric::Linf => kernels::linf_distance(a, b),
+            Metric::Lp(p) => kernels::lp_distance(a, b, p),
         }
     }
 
@@ -88,10 +90,10 @@ impl Metric {
     pub fn within(&self, a: &[f64], b: &[f64], eps: f64) -> bool {
         debug_assert_eq!(a.len(), b.len());
         match self.normalized() {
-            Metric::L1 => simd::l1_within(a, b, eps),
-            Metric::L2 => simd::l2_within(a, b, eps),
-            Metric::Linf => simd::linf_within(a, b, eps),
-            Metric::Lp(p) => simd::lp_within(a, b, eps, p),
+            Metric::L1 => kernels::l1_within(a, b, eps),
+            Metric::L2 => kernels::l2_within(a, b, eps),
+            Metric::Linf => kernels::linf_within(a, b, eps),
+            Metric::Lp(p) => kernels::lp_within(a, b, eps, p),
         }
     }
 
@@ -108,36 +110,18 @@ impl Metric {
         out: &mut Vec<u32>,
     ) {
         match self.normalized() {
-            Metric::L1 => filter_ids(probe, data, js, out, |a, b| simd::l1_within(a, b, eps)),
-            Metric::L2 => filter_ids(probe, data, js, out, |a, b| simd::l2_within(a, b, eps)),
+            Metric::L1 => {
+                filter_ids(probe, data, js, out, |a, b| kernels::l1_within(a, b, eps))
+            }
+            Metric::L2 => {
+                filter_ids(probe, data, js, out, |a, b| kernels::l2_within(a, b, eps))
+            }
             Metric::Linf => {
-                filter_ids(probe, data, js, out, |a, b| simd::linf_within(a, b, eps))
+                filter_ids(probe, data, js, out, |a, b| kernels::linf_within(a, b, eps))
             }
-            Metric::Lp(p) => {
-                filter_ids(probe, data, js, out, |a, b| simd::lp_within(a, b, eps, p))
-            }
-        }
-    }
-
-    /// [`Metric::within_batch`] over a contiguous id range — the shape the
-    /// nested-loop joins produce, with no id list to materialize.
-    pub fn within_range(
-        &self,
-        probe: &[f64],
-        data: &Dataset,
-        js: Range<u32>,
-        eps: f64,
-        out: &mut Vec<u32>,
-    ) {
-        match self.normalized() {
-            Metric::L1 => filter_range(probe, data, js, out, |a, b| simd::l1_within(a, b, eps)),
-            Metric::L2 => filter_range(probe, data, js, out, |a, b| simd::l2_within(a, b, eps)),
-            Metric::Linf => {
-                filter_range(probe, data, js, out, |a, b| simd::linf_within(a, b, eps))
-            }
-            Metric::Lp(p) => {
-                filter_range(probe, data, js, out, |a, b| simd::lp_within(a, b, eps, p))
-            }
+            Metric::Lp(p) => filter_ids(probe, data, js, out, |a, b| {
+                kernels::lp_within(a, b, eps, p)
+            }),
         }
     }
 
@@ -188,22 +172,6 @@ fn filter_ids(
     within: impl Fn(&[f64], &[f64]) -> bool,
 ) {
     for &j in js {
-        if within(probe, data.point(j)) {
-            out.push(j);
-        }
-    }
-}
-
-/// Monomorphized batch filter over a contiguous id range.
-#[inline(always)]
-fn filter_range(
-    probe: &[f64],
-    data: &Dataset,
-    js: Range<u32>,
-    out: &mut Vec<u32>,
-    within: impl Fn(&[f64], &[f64]) -> bool,
-) {
-    for j in js {
         if within(probe, data.point(j)) {
             out.push(j);
         }
@@ -312,11 +280,8 @@ mod tests {
             let expect: Vec<u32> = (0..40u32)
                 .filter(|&j| m.within(&probe, data.point(j), eps))
                 .collect();
-            let mut got = Vec::new();
-            m.within_range(&probe, &data, 0..40, eps, &mut got);
-            assert_eq!(got, expect, "{m:?} range");
             let ids: Vec<u32> = (0..40).collect();
-            got.clear();
+            let mut got = Vec::new();
             m.within_batch(&probe, &data, &ids, eps, &mut got);
             assert_eq!(got, expect, "{m:?} batch");
             let block = SoABlock::from_range(&data, 0..40);

@@ -121,60 +121,6 @@ impl<'a> Refiner<'a> {
         }
     }
 
-    /// [`Refiner::offer_batch`] over a contiguous candidate range — the
-    /// shape block-nested-loop joins produce. For self-joins the diagonal
-    /// is skipped by splitting the range around `i` instead of testing
-    /// every element.
-    pub fn offer_range(&mut self, i: u32, js: Range<u32>) {
-        if js.end <= js.start {
-            return;
-        }
-        self.scratch.clear();
-        let probe = self.a.point(i);
-        let n = (js.end - js.start) as u64;
-        match self.kind {
-            JoinKind::TwoSets => {
-                self.candidates += n;
-                self.dist_evals += n;
-                self.metric
-                    .within_range(probe, self.b, js, self.eps, &mut self.scratch);
-                for &j in &self.scratch {
-                    self.results += 1;
-                    self.sink.push(i, j);
-                }
-            }
-            JoinKind::SelfJoin => {
-                if js.contains(&i) {
-                    self.candidates += n - 1;
-                    self.dist_evals += n - 1;
-                    self.metric.within_range(
-                        probe,
-                        self.b,
-                        js.start..i,
-                        self.eps,
-                        &mut self.scratch,
-                    );
-                    self.metric.within_range(
-                        probe,
-                        self.b,
-                        i + 1..js.end,
-                        self.eps,
-                        &mut self.scratch,
-                    );
-                } else {
-                    self.candidates += n;
-                    self.dist_evals += n;
-                    self.metric
-                        .within_range(probe, self.b, js, self.eps, &mut self.scratch);
-                }
-                for &j in &self.scratch {
-                    self.results += 1;
-                    self.sink.push(i.min(j), i.max(j));
-                }
-            }
-        }
-    }
-
     /// Offers the candidate lanes `lanes` of a pre-built SoA `block`
     /// against probe row `i`, evaluated through the across-candidate
     /// [`crate::metric::Metric::within_block`] kernel.
@@ -275,7 +221,7 @@ mod tests {
     }
 
     #[test]
-    fn batch_and_range_offers_match_serial_offers() {
+    fn batch_and_block_offers_match_serial_offers() {
         let rows: Vec<Vec<f64>> = (0..30)
             .map(|i| {
                 let t = i as f64 * 0.21;
@@ -298,11 +244,9 @@ mod tests {
             let mut batch_sink = VecSink::default();
             let mut batch = Refiner::new(&a, &a, kind, &spec, &mut batch_sink);
             let ids: Vec<u32> = (0..30).collect();
-            for i in 0..15u32 {
-                batch.offer_batch(i, &ids);
-            }
-            for i in 15..30u32 {
-                batch.offer_range(i, 0..30);
+            for i in 0..30u32 {
+                batch.offer_batch(i, &ids[..15]);
+                batch.offer_batch(i, &ids[15..]);
             }
             assert_eq!(batch.counters(), serial_counters, "{kind:?} counters");
             drop(batch);
@@ -336,23 +280,6 @@ mod tests {
                 "{kind:?} block pairs"
             );
         }
-    }
-
-    #[test]
-    fn offer_range_handles_empty_and_diagonal_edges() {
-        let a = square();
-        let spec = JoinSpec::new(10.0, Metric::L2); // everything qualifies
-        let mut sink = VecSink::default();
-        let mut r = Refiner::new(&a, &a, JoinKind::SelfJoin, &spec, &mut sink);
-        r.offer_range(0, 0..0); // empty
-        #[allow(clippy::reversed_empty_ranges)]
-        r.offer_range(0, 5..3); // inverted: treated as empty
-        r.offer_range(0, 0..1); // only the diagonal: nothing offered
-        assert_eq!(r.counters(), (0, 0, 0));
-        r.offer_range(2, 0..3); // diagonal at the end of the range
-        let stats = r.finish(JoinStats::default());
-        assert_eq!(stats.candidates, 2);
-        assert_eq!(sink.pairs, vec![(0, 2), (1, 2)]);
     }
 
     #[test]

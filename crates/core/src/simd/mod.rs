@@ -1,40 +1,39 @@
-//! Runtime-dispatched SIMD distance kernels.
+//! Runtime-dispatched SIMD block kernels.
 //!
-//! Every public function here is a thin dispatcher: a one-time capability
-//! probe picks the best kernel tier the host supports (AVX2 → SSE2 →
-//! scalar on x86-64, NEON → scalar on aarch64), and all subsequent calls
+//! SIMD dispatch covers one job: filtering one probe row against a
+//! [`SoABlock`] candidate tile (`*_within_block`), vectorized *across
+//! candidates* — four (AVX2) or two (SSE2) candidate lanes per vector, one
+//! accumulator vector per dimension lane, streaming the tile's contiguous
+//! dimension columns. Single pairs never dispatch: [`crate::metric`] calls
+//! the inlined 4-lane scalar kernels in [`crate::kernels`] directly.
+//!
+//! Every block dispatcher here is thin: a one-time capability probe picks
+//! the best tier the host supports (AVX2 → SSE2 → scalar on x86-64; the
+//! portable strided kernels everywhere else), and all subsequent calls
 //! jump straight to that tier. The probe honours the `HDSJ_SIMD`
-//! environment variable (`off`/`scalar`, `sse2`, `avx2`, `neon` — clamped
-//! to what the host actually supports), and tests/benches can override it
+//! environment variable (`off`/`scalar`, `sse2`, `avx2` — clamped to what
+//! the host actually supports), and tests/benches can override it
 //! programmatically with [`set_level`].
 //!
 //! ## The exactness contract
 //!
 //! Dispatch would be useless if the tiers disagreed. They cannot: every
-//! tier computes the *bit-identical* sum of the 4-lane scalar kernels in
-//! [`crate::kernels`] — dimensions `≡ k (mod 4)` feed lane accumulator
-//! `k`, the per-pair result is the canonical fold
+//! tier computes, per candidate, the *bit-identical* sum of the 4-lane
+//! scalar kernels in [`crate::kernels`] — dimensions `≡ k (mod 4)` feed
+//! lane accumulator `k`, the per-candidate result is the canonical fold
 //! `(acc0 + acc1) + (acc2 + acc3)` plus a separately chained scalar tail,
 //! all in plain IEEE sub/mul/add (never FMA). Early exits only ever
 //! compare a *partial* monotone fold against the budget, so `within`
-//! decisions equal the full-sum decision at every tier. Distances are
-//! bit-identical; decisions are exactly identical; join results therefore
+//! decisions equal the full-sum decision at every tier, and join results
 //! do not depend on the dispatch level. `Lp` for general `p` is
-//! `powf`-bound and stays on the scalar kernels at every tier.
-//!
-//! The `*_within_block` entry points run the same contract over a
-//! [`SoABlock`] candidate tile, vectorizing across candidates instead of
-//! dimensions (see [`portable`], `x86`, `neon`).
+//! `powf`-bound and stays on the portable kernels at every tier.
 
 pub mod portable;
 pub mod tile;
 
-#[cfg(target_arch = "aarch64")]
-mod neon;
 #[cfg(target_arch = "x86_64")]
 mod x86;
 
-use crate::kernels;
 use crate::soa::SoABlock;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU8, Ordering};
@@ -45,15 +44,14 @@ use std::sync::atomic::{AtomicU8, Ordering};
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 #[repr(u8)]
 pub enum Level {
-    /// The 4-lane scalar kernels in [`crate::kernels`] — always available,
-    /// and the oracle every other tier is differentially tested against.
+    /// The portable strided block kernels in [`portable`] — always
+    /// available, and the oracle every other tier is differentially
+    /// tested against.
     Scalar = 1,
     /// Two f64 lanes per vector (x86-64 baseline; no runtime probe needed).
     Sse2 = 2,
     /// Four f64 lanes per vector (runtime-probed).
     Avx2 = 3,
-    /// Two f64 lanes per vector (aarch64 baseline).
-    Neon = 4,
 }
 
 impl Level {
@@ -63,7 +61,6 @@ impl Level {
             Level::Scalar => "scalar",
             Level::Sse2 => "sse2",
             Level::Avx2 => "avx2",
-            Level::Neon => "neon",
         }
     }
 
@@ -71,7 +68,6 @@ impl Level {
         match v {
             2 => Level::Sse2,
             3 => Level::Avx2,
-            4 => Level::Neon,
             _ => Level::Scalar,
         }
     }
@@ -119,8 +115,6 @@ pub fn supported() -> Vec<Level> {
             tiers.push(Level::Avx2);
         }
     }
-    #[cfg(target_arch = "aarch64")]
-    tiers.push(Level::Neon);
     tiers
 }
 
@@ -137,7 +131,6 @@ fn requested() -> Level {
             "off" | "scalar" | "0" => Level::Scalar,
             "sse2" => Level::Sse2,
             "avx2" => Level::Avx2,
-            "neon" => Level::Neon,
             _ => best(),
         },
         Err(_) => best(),
@@ -146,7 +139,7 @@ fn requested() -> Level {
 
 /// Clamps a requested tier to the host: the most capable supported tier
 /// that does not exceed the request (requesting `avx2` on an SSE2-only
-/// host yields `sse2`; requesting `neon` on x86 yields the x86 best).
+/// host yields `sse2`; requesting `avx2` off x86-64 yields `scalar`).
 fn clamp(requested: Level) -> Level {
     supported()
         .into_iter()
@@ -156,102 +149,10 @@ fn clamp(requested: Level) -> Level {
 }
 
 // ---------------------------------------------------------------------
-// Pair dispatchers. Each match carries a `_` arm to the scalar kernels:
-// `clamp` guarantees foreign-arch tiers are never stored, so the arm only
-// ever runs for `Level::Scalar` (and keeps each arch's match exhaustive).
-// ---------------------------------------------------------------------
-
-/// Manhattan distance `Σ |aᵢ − bᵢ|` at the active dispatch level.
-pub fn l1_distance(a: &[f64], b: &[f64]) -> f64 {
-    match level() {
-        #[cfg(target_arch = "x86_64")]
-        Level::Sse2 => x86::sse2_l1_distance(a, b),
-        #[cfg(target_arch = "x86_64")]
-        Level::Avx2 => x86::avx2_l1_distance(a, b),
-        #[cfg(target_arch = "aarch64")]
-        Level::Neon => neon::l1_distance(a, b),
-        _ => kernels::l1_distance(a, b),
-    }
-}
-
-/// Euclidean distance `√Σ (aᵢ − bᵢ)²` at the active dispatch level.
-pub fn l2_distance(a: &[f64], b: &[f64]) -> f64 {
-    match level() {
-        #[cfg(target_arch = "x86_64")]
-        Level::Sse2 => x86::sse2_l2_distance(a, b),
-        #[cfg(target_arch = "x86_64")]
-        Level::Avx2 => x86::avx2_l2_distance(a, b),
-        #[cfg(target_arch = "aarch64")]
-        Level::Neon => neon::l2_distance(a, b),
-        _ => kernels::l2_distance(a, b),
-    }
-}
-
-/// Chebyshev distance `max |aᵢ − bᵢ|` at the active dispatch level.
-pub fn linf_distance(a: &[f64], b: &[f64]) -> f64 {
-    match level() {
-        #[cfg(target_arch = "x86_64")]
-        Level::Sse2 => x86::sse2_linf_distance(a, b),
-        #[cfg(target_arch = "x86_64")]
-        Level::Avx2 => x86::avx2_linf_distance(a, b),
-        #[cfg(target_arch = "aarch64")]
-        Level::Neon => neon::linf_distance(a, b),
-        _ => kernels::linf_distance(a, b),
-    }
-}
-
-/// Minkowski distance for general `p`. `powf` has no vector form, so this
-/// is the scalar kernel at every tier.
-pub fn lp_distance(a: &[f64], b: &[f64], p: f64) -> f64 {
-    kernels::lp_distance(a, b, p)
-}
-
-/// `Σ |aᵢ − bᵢ| ≤ eps` at the active dispatch level.
-pub fn l1_within(a: &[f64], b: &[f64], eps: f64) -> bool {
-    match level() {
-        #[cfg(target_arch = "x86_64")]
-        Level::Sse2 => x86::sse2_l1_within(a, b, eps),
-        #[cfg(target_arch = "x86_64")]
-        Level::Avx2 => x86::avx2_l1_within(a, b, eps),
-        #[cfg(target_arch = "aarch64")]
-        Level::Neon => neon::l1_within(a, b, eps),
-        _ => kernels::l1_within(a, b, eps),
-    }
-}
-
-/// `Σ (aᵢ − bᵢ)² ≤ eps²` at the active dispatch level (no root taken).
-pub fn l2_within(a: &[f64], b: &[f64], eps: f64) -> bool {
-    match level() {
-        #[cfg(target_arch = "x86_64")]
-        Level::Sse2 => x86::sse2_l2_within(a, b, eps),
-        #[cfg(target_arch = "x86_64")]
-        Level::Avx2 => x86::avx2_l2_within(a, b, eps),
-        #[cfg(target_arch = "aarch64")]
-        Level::Neon => neon::l2_within(a, b, eps),
-        _ => kernels::l2_within(a, b, eps),
-    }
-}
-
-/// `max |aᵢ − bᵢ| ≤ eps` at the active dispatch level.
-pub fn linf_within(a: &[f64], b: &[f64], eps: f64) -> bool {
-    match level() {
-        #[cfg(target_arch = "x86_64")]
-        Level::Sse2 => x86::sse2_linf_within(a, b, eps),
-        #[cfg(target_arch = "x86_64")]
-        Level::Avx2 => x86::avx2_linf_within(a, b, eps),
-        #[cfg(target_arch = "aarch64")]
-        Level::Neon => neon::linf_within(a, b, eps),
-        _ => kernels::linf_within(a, b, eps),
-    }
-}
-
-/// `Σ |aᵢ − bᵢ|^p ≤ eps^p` — scalar at every tier (see [`lp_distance`]).
-pub fn lp_within(a: &[f64], b: &[f64], eps: f64, p: f64) -> bool {
-    kernels::lp_within(a, b, eps, p)
-}
-
-// ---------------------------------------------------------------------
-// Block dispatchers: one probe row against a SoA candidate tile.
+// Block dispatchers: one probe row against a SoA candidate tile. Each
+// match carries a `_` arm to the portable kernels: `clamp` never stores a
+// tier the host lacks, so off x86-64 the arm is the only one, and on
+// x86-64 it only ever runs for `Level::Scalar`.
 // ---------------------------------------------------------------------
 
 /// L1 block filter: pushes ids of lanes in `lanes` whose L1 distance to
@@ -268,8 +169,6 @@ pub fn l1_within_block(
         Level::Sse2 => x86::sse2_l1_within_block(probe, block, lanes, eps, out),
         #[cfg(target_arch = "x86_64")]
         Level::Avx2 => x86::avx2_l1_within_block(probe, block, lanes, eps, out),
-        #[cfg(target_arch = "aarch64")]
-        Level::Neon => neon::l1_within_block(probe, block, lanes, eps, out),
         _ => portable::l1_within_block(probe, block, lanes, eps, out),
     }
 }
@@ -287,8 +186,6 @@ pub fn l2_within_block(
         Level::Sse2 => x86::sse2_l2_within_block(probe, block, lanes, eps, out),
         #[cfg(target_arch = "x86_64")]
         Level::Avx2 => x86::avx2_l2_within_block(probe, block, lanes, eps, out),
-        #[cfg(target_arch = "aarch64")]
-        Level::Neon => neon::l2_within_block(probe, block, lanes, eps, out),
         _ => portable::l2_within_block(probe, block, lanes, eps, out),
     }
 }
@@ -306,8 +203,6 @@ pub fn linf_within_block(
         Level::Sse2 => x86::sse2_linf_within_block(probe, block, lanes, eps, out),
         #[cfg(target_arch = "x86_64")]
         Level::Avx2 => x86::avx2_linf_within_block(probe, block, lanes, eps, out),
-        #[cfg(target_arch = "aarch64")]
-        Level::Neon => neon::linf_within_block(probe, block, lanes, eps, out),
         _ => portable::linf_within_block(probe, block, lanes, eps, out),
     }
 }
@@ -338,7 +233,7 @@ mod tests {
 
     #[test]
     fn clamp_never_exceeds_the_request_or_the_host() {
-        for req in [Level::Scalar, Level::Sse2, Level::Avx2, Level::Neon] {
+        for req in [Level::Scalar, Level::Sse2, Level::Avx2] {
             let eff = clamp(req);
             assert!(eff <= req, "{req:?} -> {eff:?}");
             assert!(supported().contains(&eff), "{req:?} -> {eff:?}");
@@ -352,47 +247,6 @@ mod tests {
         assert_eq!(tiers[0], Level::Scalar);
         assert!(tiers.windows(2).all(|w| w[0] < w[1]));
         assert_eq!(best(), *tiers.last().unwrap());
-    }
-
-    // The full differential suite lives in tests/simd_parity.rs; this is
-    // the smoke-level check that every supported tier agrees bit-for-bit
-    // through the public dispatchers. Runs the sweep in one test body
-    // because set_level mutates process-global state.
-    #[test]
-    fn every_supported_tier_matches_the_scalar_kernels() {
-        let d = ds(9, 33);
-        let saved = level();
-        for tier in supported() {
-            assert_eq!(set_level(tier), tier);
-            for i in 0..9u32 {
-                for j in 0..9u32 {
-                    let (a, b) = (d.point(i), d.point(j));
-                    assert_eq!(
-                        l1_distance(a, b).to_bits(),
-                        kernels::l1_distance(a, b).to_bits(),
-                        "l1 {tier:?} {i},{j}"
-                    );
-                    assert_eq!(
-                        l2_distance(a, b).to_bits(),
-                        kernels::l2_distance(a, b).to_bits(),
-                        "l2 {tier:?} {i},{j}"
-                    );
-                    assert_eq!(
-                        linf_distance(a, b).to_bits(),
-                        kernels::linf_distance(a, b).to_bits(),
-                        "linf {tier:?} {i},{j}"
-                    );
-                    for eps in [0.2, 1.0, 2.5] {
-                        assert_eq!(
-                            l2_within(a, b, eps),
-                            kernels::l2_within(a, b, eps),
-                            "within {tier:?} {i},{j} {eps}"
-                        );
-                    }
-                }
-            }
-        }
-        set_level(saved);
     }
 
     #[test]
@@ -434,7 +288,7 @@ mod tests {
 
     #[test]
     fn level_names_round_trip_the_env_spelling() {
-        for l in [Level::Scalar, Level::Sse2, Level::Avx2, Level::Neon] {
+        for l in [Level::Scalar, Level::Sse2, Level::Avx2] {
             assert!(!l.name().is_empty());
         }
         assert_eq!(Level::from_u8(Level::Avx2 as u8), Level::Avx2);

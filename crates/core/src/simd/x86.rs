@@ -1,44 +1,32 @@
-//! Explicit SSE2/AVX2 distance kernels for x86-64.
+//! Explicit SSE2/AVX2 block kernels for x86-64.
 //!
-//! Every kernel here reproduces the **exact** arithmetic of the 4-lane
-//! scalar kernels in [`crate::kernels`]: dimensions `≡ k (mod 4)` feed
-//! lane accumulator `k` with plain IEEE sub/mul/add (never FMA), the
-//! per-candidate sum is the canonical monotone fold
+//! Every kernel here reproduces, per candidate, the **exact** arithmetic
+//! of the 4-lane scalar kernels in [`crate::kernels`]: dimensions
+//! `≡ k (mod 4)` feed lane accumulator `k` with plain IEEE sub/mul/add
+//! (never FMA), the per-candidate sum is the canonical monotone fold
 //! `(acc0 + acc1) + (acc2 + acc3)` plus a separately chained scalar tail,
 //! and `abs` is a sign-bit mask (`andnot` with `-0.0`), which matches
 //! `f64::abs` bit for bit. Because the fold is monotone in the
-//! non-negative terms, *any* early-exit schedule — per super-block here,
-//! all-lanes-exceed for candidate groups — returns the same decision as
+//! non-negative terms, *any* early-exit schedule — here, all lanes of a
+//! candidate group exceeding the budget — returns the same decision as
 //! the full sum, so `within` decisions (and therefore join results) are
 //! byte-identical across dispatch levels.
 //!
-//! The AVX2 pair kernels hold all four dimension lanes in one `__m256d`;
-//! the SSE2 pair kernels split them across two `__m128d`s. The block
-//! kernels vectorize **across candidates** instead: four (AVX2) or two
-//! (SSE2) candidates per vector, one accumulator vector per dimension
-//! lane, streaming the contiguous [`SoABlock`] columns.
+//! The kernels vectorize **across candidates**: four (AVX2) or two (SSE2)
+//! candidates per vector, one accumulator vector per dimension lane,
+//! streaming the contiguous [`SoABlock`] columns.
 //!
-//! This file (with `neon.rs`) is the only place in the workspace where
-//! `unsafe` is permitted: hdsj-core carries `#![deny(unsafe_code)]` and
-//! every other crate keeps `forbid`. The unsafe surface is exactly (a)
-//! unaligned vector loads/stores on in-bounds slice regions and (b) the
-//! AVX2 entry wrappers, whose target feature the dispatch probe has
-//! verified. Each carries a `SAFETY:` comment per R2.
+//! This file is the only place in the workspace where `unsafe` is
+//! permitted: hdsj-core carries `#![deny(unsafe_code)]` and every other
+//! crate keeps `forbid`. The unsafe surface is exactly (a) unaligned
+//! vector loads on in-bounds slice regions and (b) the AVX2 entry
+//! wrappers, whose target feature the dispatch probe has verified. Each
+//! carries a `SAFETY:` comment per R2.
 #![allow(unsafe_code)]
 
 use crate::simd::portable;
 use crate::soa::SoABlock;
 use std::ops::Range;
-
-/// Scalar tail term, shared by both widths: `(x−y)²` or `|x−y|`.
-#[inline(always)]
-fn sterm<const SQ: bool>(x: f64, y: f64) -> f64 {
-    if SQ {
-        (x - y) * (x - y)
-    } else {
-        (x - y).abs()
-    }
-}
 
 /// Pushes the ids of qualifying lanes `t..t+G` (bit `k` of `mask` set),
 /// capped at the requested lane range end.
@@ -60,60 +48,6 @@ fn avx2_available() -> bool {
 // AVX2 entry points. The inner kernels are safe `#[target_feature]` fns;
 // only the feature-availability hand-off needs `unsafe`.
 // ---------------------------------------------------------------------
-
-/// Manhattan distance via the AVX2 kernel.
-pub fn avx2_l1_distance(a: &[f64], b: &[f64]) -> f64 {
-    debug_assert!(avx2_available());
-    // SAFETY: the dispatch probe (`crate::simd::level`) and `set_level`
-    // select the AVX2 kernels only after `is_x86_feature_detected!("avx2")`
-    // reports support, so the required target feature is present.
-    unsafe { avx2::sum_distance::<false>(a, b) }
-}
-
-/// Euclidean distance via the AVX2 kernel.
-pub fn avx2_l2_distance(a: &[f64], b: &[f64]) -> f64 {
-    debug_assert!(avx2_available());
-    // SAFETY: the dispatch probe (`crate::simd::level`) and `set_level`
-    // select the AVX2 kernels only after `is_x86_feature_detected!("avx2")`
-    // reports support, so the required target feature is present.
-    unsafe { avx2::sum_distance::<true>(a, b) }.sqrt()
-}
-
-/// Chebyshev distance via the AVX2 kernel.
-pub fn avx2_linf_distance(a: &[f64], b: &[f64]) -> f64 {
-    debug_assert!(avx2_available());
-    // SAFETY: the dispatch probe (`crate::simd::level`) and `set_level`
-    // select the AVX2 kernels only after `is_x86_feature_detected!("avx2")`
-    // reports support, so the required target feature is present.
-    unsafe { avx2::linf_distance(a, b) }
-}
-
-/// `Σ |aᵢ − bᵢ| ≤ eps` via the AVX2 kernel.
-pub fn avx2_l1_within(a: &[f64], b: &[f64], eps: f64) -> bool {
-    debug_assert!(avx2_available());
-    // SAFETY: the dispatch probe (`crate::simd::level`) and `set_level`
-    // select the AVX2 kernels only after `is_x86_feature_detected!("avx2")`
-    // reports support, so the required target feature is present.
-    unsafe { avx2::sum_within::<false>(a, b, eps) }
-}
-
-/// `Σ (aᵢ − bᵢ)² ≤ eps²` via the AVX2 kernel (no root taken).
-pub fn avx2_l2_within(a: &[f64], b: &[f64], eps: f64) -> bool {
-    debug_assert!(avx2_available());
-    // SAFETY: the dispatch probe (`crate::simd::level`) and `set_level`
-    // select the AVX2 kernels only after `is_x86_feature_detected!("avx2")`
-    // reports support, so the required target feature is present.
-    unsafe { avx2::sum_within::<true>(a, b, eps * eps) }
-}
-
-/// `max |aᵢ − bᵢ| ≤ eps` via the AVX2 kernel.
-pub fn avx2_linf_within(a: &[f64], b: &[f64], eps: f64) -> bool {
-    debug_assert!(avx2_available());
-    // SAFETY: the dispatch probe (`crate::simd::level`) and `set_level`
-    // select the AVX2 kernels only after `is_x86_feature_detected!("avx2")`
-    // reports support, so the required target feature is present.
-    unsafe { avx2::linf_within(a, b, eps) }
-}
 
 /// L1 block filter via the AVX2 across-candidate kernel.
 pub fn avx2_l1_within_block(
@@ -167,48 +101,6 @@ pub fn avx2_linf_within_block(
 // `#[target_feature]` requirement.
 // ---------------------------------------------------------------------
 
-/// Manhattan distance via the SSE2 kernel.
-pub fn sse2_l1_distance(a: &[f64], b: &[f64]) -> f64 {
-    // SAFETY: SSE2 is part of the x86-64 baseline ABI; every x86-64 CPU
-    // provides it, so the kernel's required target feature is present.
-    unsafe { sse2::sum_distance::<false>(a, b) }
-}
-
-/// Euclidean distance via the SSE2 kernel.
-pub fn sse2_l2_distance(a: &[f64], b: &[f64]) -> f64 {
-    // SAFETY: SSE2 is part of the x86-64 baseline ABI; every x86-64 CPU
-    // provides it, so the kernel's required target feature is present.
-    unsafe { sse2::sum_distance::<true>(a, b) }.sqrt()
-}
-
-/// Chebyshev distance via the SSE2 kernel.
-pub fn sse2_linf_distance(a: &[f64], b: &[f64]) -> f64 {
-    // SAFETY: SSE2 is part of the x86-64 baseline ABI; every x86-64 CPU
-    // provides it, so the kernel's required target feature is present.
-    unsafe { sse2::linf_distance(a, b) }
-}
-
-/// `Σ |aᵢ − bᵢ| ≤ eps` via the SSE2 kernel.
-pub fn sse2_l1_within(a: &[f64], b: &[f64], eps: f64) -> bool {
-    // SAFETY: SSE2 is part of the x86-64 baseline ABI; every x86-64 CPU
-    // provides it, so the kernel's required target feature is present.
-    unsafe { sse2::sum_within::<false>(a, b, eps) }
-}
-
-/// `Σ (aᵢ − bᵢ)² ≤ eps²` via the SSE2 kernel (no root taken).
-pub fn sse2_l2_within(a: &[f64], b: &[f64], eps: f64) -> bool {
-    // SAFETY: SSE2 is part of the x86-64 baseline ABI; every x86-64 CPU
-    // provides it, so the kernel's required target feature is present.
-    unsafe { sse2::sum_within::<true>(a, b, eps * eps) }
-}
-
-/// `max |aᵢ − bᵢ| ≤ eps` via the SSE2 kernel.
-pub fn sse2_linf_within(a: &[f64], b: &[f64], eps: f64) -> bool {
-    // SAFETY: SSE2 is part of the x86-64 baseline ABI; every x86-64 CPU
-    // provides it, so the kernel's required target feature is present.
-    unsafe { sse2::linf_within(a, b, eps) }
-}
-
 /// L1 block filter via the SSE2 across-candidate kernel.
 pub fn sse2_l1_within_block(
     probe: &[f64],
@@ -257,24 +149,13 @@ mod avx2 {
     #[inline]
     fn load4(xs: &[f64], at: usize) -> __m256d {
         debug_assert!(xs.len() >= 4 && at <= xs.len() - 4);
-        // SAFETY: callers maintain `at + 4 <= xs.len()` (pair kernels stop
-        // at `dim + 4 <= d`; block kernels pass `dim * width + t` with
-        // `t + 4 <= width`, `dim < dims`, into the `dims × width` buffer).
+        // SAFETY: callers maintain `at + 4 <= xs.len()`: the block kernels
+        // pass `dim * width + t` with `t + 4 <= width`, `dim < dims`, into
+        // the `dims × width` buffer.
         unsafe { _mm256_loadu_pd(xs.as_ptr().add(at)) }
     }
 
-    /// Spills a vector to an array (for the scalar L∞ max fold).
-    #[target_feature(enable = "avx2")]
-    #[inline]
-    fn to_array(v: __m256d) -> [f64; 4] {
-        let mut out = [0.0f64; 4];
-        // SAFETY: `out` is four f64s of writable local memory; `storeu`
-        // has no alignment requirement.
-        unsafe { _mm256_storeu_pd(out.as_mut_ptr(), v) };
-        out
-    }
-
-    /// One 4-dimension term vector: `(a−b)²` (`SQ`) or `|a−b|`.
+    /// Lane-wise term over four candidates: `(a−b)²` (`SQ`) or `|a−b|`.
     #[target_feature(enable = "avx2")]
     #[inline]
     fn term<const SQ: bool>(a: __m256d, b: __m256d) -> __m256d {
@@ -284,134 +165,6 @@ mod avx2 {
         } else {
             _mm256_andnot_pd(_mm256_set1_pd(-0.0), d)
         }
-    }
-
-    /// The canonical scalar fold `(acc0 + acc1) + (acc2 + acc3)` of the
-    /// four dimension-lane partials held in one vector — bit-identical
-    /// to [`crate::kernels`]'s `fold4`.
-    #[target_feature(enable = "avx2")]
-    #[inline]
-    fn fold(acc: __m256d) -> f64 {
-        let lo = _mm256_castpd256_pd128(acc); // [acc0, acc1]
-        let hi = _mm256_extractf128_pd::<1>(acc); // [acc2, acc3]
-        let h = _mm_hadd_pd(lo, hi); // [acc0+acc1, acc2+acc3]
-        _mm_cvtsd_f64(_mm_add_sd(h, _mm_unpackhi_pd(h, h)))
-    }
-
-    /// `Σ term(aᵢ, bᵢ)` with the canonical lane decomposition.
-    #[target_feature(enable = "avx2")]
-    pub fn sum_distance<const SQ: bool>(a: &[f64], b: &[f64]) -> f64 {
-        debug_assert_eq!(a.len(), b.len());
-        let d = a.len();
-        let mut acc = _mm256_setzero_pd();
-        let mut dim = 0;
-        while dim + 4 <= d {
-            acc = _mm256_add_pd(acc, term::<SQ>(load4(a, dim), load4(b, dim)));
-            dim += 4;
-        }
-        let mut tail = 0.0;
-        while dim < d {
-            tail += sterm::<SQ>(a[dim], b[dim]);
-            dim += 1;
-        }
-        fold(acc) + tail
-    }
-
-    /// `Σ term(aᵢ, bᵢ) ≤ budget` with the scalar kernels' first-4 /
-    /// per-16 early-exit cadence.
-    #[target_feature(enable = "avx2")]
-    pub fn sum_within<const SQ: bool>(a: &[f64], b: &[f64], budget: f64) -> bool {
-        debug_assert_eq!(a.len(), b.len());
-        let d = a.len();
-        let mut acc = _mm256_setzero_pd();
-        let mut dim = 0;
-        if d >= 4 {
-            acc = _mm256_add_pd(acc, term::<SQ>(load4(a, 0), load4(b, 0)));
-            if fold(acc) > budget {
-                return false;
-            }
-            dim = 4;
-        }
-        while dim + 16 <= d {
-            acc = _mm256_add_pd(acc, term::<SQ>(load4(a, dim), load4(b, dim)));
-            acc = _mm256_add_pd(acc, term::<SQ>(load4(a, dim + 4), load4(b, dim + 4)));
-            acc = _mm256_add_pd(acc, term::<SQ>(load4(a, dim + 8), load4(b, dim + 8)));
-            acc = _mm256_add_pd(acc, term::<SQ>(load4(a, dim + 12), load4(b, dim + 12)));
-            if fold(acc) > budget {
-                return false;
-            }
-            dim += 16;
-        }
-        while dim + 4 <= d {
-            acc = _mm256_add_pd(acc, term::<SQ>(load4(a, dim), load4(b, dim)));
-            dim += 4;
-        }
-        let mut tail = 0.0;
-        while dim < d {
-            tail += sterm::<SQ>(a[dim], b[dim]);
-            dim += 1;
-        }
-        fold(acc) + tail <= budget
-    }
-
-    /// `max |aᵢ − bᵢ|`; max over the non-negative finite terms datasets
-    /// hold is order-independent, so the lane split is exact.
-    #[target_feature(enable = "avx2")]
-    pub fn linf_distance(a: &[f64], b: &[f64]) -> f64 {
-        debug_assert_eq!(a.len(), b.len());
-        let d = a.len();
-        let mut m = _mm256_setzero_pd();
-        let mut dim = 0;
-        while dim + 4 <= d {
-            m = _mm256_max_pd(m, term::<false>(load4(a, dim), load4(b, dim)));
-            dim += 4;
-        }
-        let mut tail = 0.0f64;
-        while dim < d {
-            tail = tail.max((a[dim] - b[dim]).abs());
-            dim += 1;
-        }
-        let arr = to_array(m);
-        arr[0].max(arr[1]).max(arr[2]).max(arr[3]).max(tail)
-    }
-
-    /// `max |aᵢ − bᵢ| ≤ eps` with block-level early exit.
-    #[target_feature(enable = "avx2")]
-    pub fn linf_within(a: &[f64], b: &[f64], eps: f64) -> bool {
-        debug_assert_eq!(a.len(), b.len());
-        let d = a.len();
-        let mut m = _mm256_setzero_pd();
-        let mut dim = 0;
-        if d >= 4 {
-            m = _mm256_max_pd(m, term::<false>(load4(a, 0), load4(b, 0)));
-            let arr = to_array(m);
-            if arr[0].max(arr[1]).max(arr[2]).max(arr[3]) > eps {
-                return false;
-            }
-            dim = 4;
-        }
-        while dim + 16 <= d {
-            m = _mm256_max_pd(m, term::<false>(load4(a, dim), load4(b, dim)));
-            m = _mm256_max_pd(m, term::<false>(load4(a, dim + 4), load4(b, dim + 4)));
-            m = _mm256_max_pd(m, term::<false>(load4(a, dim + 8), load4(b, dim + 8)));
-            m = _mm256_max_pd(m, term::<false>(load4(a, dim + 12), load4(b, dim + 12)));
-            let arr = to_array(m);
-            if arr[0].max(arr[1]).max(arr[2]).max(arr[3]) > eps {
-                return false;
-            }
-            dim += 16;
-        }
-        while dim + 4 <= d {
-            m = _mm256_max_pd(m, term::<false>(load4(a, dim), load4(b, dim)));
-            dim += 4;
-        }
-        let mut tail = 0.0f64;
-        while dim < d {
-            tail = tail.max((a[dim] - b[dim]).abs());
-            dim += 1;
-        }
-        let arr = to_array(m);
-        arr[0].max(arr[1]).max(arr[2]).max(arr[3]).max(tail) <= eps
     }
 
     /// Block filter: pushes the id of every lane in `lanes` whose
@@ -600,13 +353,13 @@ mod sse2 {
     #[inline(always)]
     fn load2(xs: &[f64], at: usize) -> __m128d {
         debug_assert!(xs.len() >= 2 && at <= xs.len() - 2);
-        // SAFETY: callers maintain `at + 2 <= xs.len()` (pair kernels stop
-        // at `dim + 4 <= d`; block kernels pass `dim * width + t` with
-        // `t + 2 <= width`, `dim < dims`, into the `dims × width` buffer).
+        // SAFETY: callers maintain `at + 2 <= xs.len()`: the block kernels
+        // pass `dim * width + t` with `t + 2 <= width`, `dim < dims`, into
+        // the `dims × width` buffer.
         unsafe { _mm_loadu_pd(xs.as_ptr().add(at)) }
     }
 
-    /// One 2-dimension term vector: `(a−b)²` (`SQ`) or `|a−b|`.
+    /// Lane-wise term over two candidates: `(a−b)²` (`SQ`) or `|a−b|`.
     #[inline]
     #[target_feature(enable = "sse2")]
     fn term<const SQ: bool>(a: __m128d, b: __m128d) -> __m128d {
@@ -616,126 +369,6 @@ mod sse2 {
         } else {
             _mm_andnot_pd(_mm_set1_pd(-0.0), d)
         }
-    }
-
-    /// The canonical fold `(acc0 + acc1) + (acc2 + acc3)` of the two
-    /// accumulator pairs (`acc01` holds lanes 0–1, `acc23` lanes 2–3).
-    /// No SSE3 `hadd` here — SSE2 baseline only.
-    #[inline]
-    #[target_feature(enable = "sse2")]
-    fn fold(acc01: __m128d, acc23: __m128d) -> f64 {
-        let s01 = _mm_add_sd(acc01, _mm_unpackhi_pd(acc01, acc01));
-        let s23 = _mm_add_sd(acc23, _mm_unpackhi_pd(acc23, acc23));
-        _mm_cvtsd_f64(_mm_add_sd(s01, s23))
-    }
-
-    /// `Σ term(aᵢ, bᵢ)` with the canonical lane decomposition.
-    #[target_feature(enable = "sse2")]
-    pub fn sum_distance<const SQ: bool>(a: &[f64], b: &[f64]) -> f64 {
-        debug_assert_eq!(a.len(), b.len());
-        let d = a.len();
-        let mut acc01 = _mm_setzero_pd();
-        let mut acc23 = _mm_setzero_pd();
-        let mut dim = 0;
-        while dim + 4 <= d {
-            acc01 = _mm_add_pd(acc01, term::<SQ>(load2(a, dim), load2(b, dim)));
-            acc23 = _mm_add_pd(acc23, term::<SQ>(load2(a, dim + 2), load2(b, dim + 2)));
-            dim += 4;
-        }
-        let mut tail = 0.0;
-        while dim < d {
-            tail += sterm::<SQ>(a[dim], b[dim]);
-            dim += 1;
-        }
-        fold(acc01, acc23) + tail
-    }
-
-    /// `Σ term(aᵢ, bᵢ) ≤ budget` with the scalar kernels' first-4 /
-    /// per-16 early-exit cadence.
-    #[target_feature(enable = "sse2")]
-    pub fn sum_within<const SQ: bool>(a: &[f64], b: &[f64], budget: f64) -> bool {
-        debug_assert_eq!(a.len(), b.len());
-        let d = a.len();
-        let mut acc01 = _mm_setzero_pd();
-        let mut acc23 = _mm_setzero_pd();
-        let mut dim = 0;
-        if d >= 4 {
-            acc01 = _mm_add_pd(acc01, term::<SQ>(load2(a, 0), load2(b, 0)));
-            acc23 = _mm_add_pd(acc23, term::<SQ>(load2(a, 2), load2(b, 2)));
-            if fold(acc01, acc23) > budget {
-                return false;
-            }
-            dim = 4;
-        }
-        while dim + 16 <= d {
-            for c in 0..4 {
-                let at = dim + 4 * c;
-                acc01 = _mm_add_pd(acc01, term::<SQ>(load2(a, at), load2(b, at)));
-                acc23 = _mm_add_pd(acc23, term::<SQ>(load2(a, at + 2), load2(b, at + 2)));
-            }
-            if fold(acc01, acc23) > budget {
-                return false;
-            }
-            dim += 16;
-        }
-        while dim + 4 <= d {
-            acc01 = _mm_add_pd(acc01, term::<SQ>(load2(a, dim), load2(b, dim)));
-            acc23 = _mm_add_pd(acc23, term::<SQ>(load2(a, dim + 2), load2(b, dim + 2)));
-            dim += 4;
-        }
-        let mut tail = 0.0;
-        while dim < d {
-            tail += sterm::<SQ>(a[dim], b[dim]);
-            dim += 1;
-        }
-        fold(acc01, acc23) + tail <= budget
-    }
-
-    /// `max |aᵢ − bᵢ|` — order-independent max, exact under any split.
-    #[target_feature(enable = "sse2")]
-    pub fn linf_distance(a: &[f64], b: &[f64]) -> f64 {
-        debug_assert_eq!(a.len(), b.len());
-        let d = a.len();
-        let mut m = _mm_setzero_pd();
-        let mut dim = 0;
-        while dim + 2 <= d {
-            m = _mm_max_pd(m, term::<false>(load2(a, dim), load2(b, dim)));
-            dim += 2;
-        }
-        let mut tail = 0.0f64;
-        while dim < d {
-            tail = tail.max((a[dim] - b[dim]).abs());
-            dim += 1;
-        }
-        let hi = _mm_cvtsd_f64(_mm_unpackhi_pd(m, m));
-        _mm_cvtsd_f64(m).max(hi).max(tail)
-    }
-
-    /// `max |aᵢ − bᵢ| ≤ eps` with block-level early exit.
-    #[target_feature(enable = "sse2")]
-    pub fn linf_within(a: &[f64], b: &[f64], eps: f64) -> bool {
-        debug_assert_eq!(a.len(), b.len());
-        let d = a.len();
-        let mut m = _mm_setzero_pd();
-        let mut dim = 0;
-        while dim + 2 <= d {
-            let stop = dim + 16;
-            while dim + 2 <= stop.min(d) {
-                m = _mm_max_pd(m, term::<false>(load2(a, dim), load2(b, dim)));
-                dim += 2;
-            }
-            let hi = _mm_cvtsd_f64(_mm_unpackhi_pd(m, m));
-            if _mm_cvtsd_f64(m).max(hi) > eps {
-                return false;
-            }
-        }
-        let mut tail = 0.0f64;
-        while dim < d {
-            tail = tail.max((a[dim] - b[dim]).abs());
-            dim += 1;
-        }
-        let hi = _mm_cvtsd_f64(_mm_unpackhi_pd(m, m));
-        _mm_cvtsd_f64(m).max(hi).max(tail) <= eps
     }
 
     /// Block filter: two candidates per vector group. Named accumulator
@@ -895,100 +528,6 @@ mod tests {
     use super::*;
     use crate::dataset::Dataset;
     use crate::kernels;
-
-    fn pt(dims: usize, seed: u64) -> Vec<f64> {
-        (0..dims)
-            .map(|i| {
-                let h = seed
-                    .rotate_left(i as u32 * 13)
-                    .wrapping_mul(0x9e3779b97f4a7c15);
-                (h >> 11) as f64 / (1u64 << 53) as f64
-            })
-            .collect()
-    }
-
-    #[test]
-    fn sse2_pair_kernels_are_bit_identical_to_scalar() {
-        for dims in [1, 2, 3, 4, 5, 7, 8, 15, 16, 17, 63, 64, 65] {
-            let a = pt(dims, 3);
-            let b = pt(dims, 9);
-            assert_eq!(
-                sse2_l1_distance(&a, &b).to_bits(),
-                kernels::l1_distance(&a, &b).to_bits(),
-                "l1 d={dims}"
-            );
-            assert_eq!(
-                sse2_l2_distance(&a, &b).to_bits(),
-                kernels::l2_distance(&a, &b).to_bits(),
-                "l2 d={dims}"
-            );
-            assert_eq!(
-                sse2_linf_distance(&a, &b).to_bits(),
-                kernels::linf_distance(&a, &b).to_bits(),
-                "linf d={dims}"
-            );
-            for eps in [0.01, 0.2, 1.0, 10.0] {
-                assert_eq!(
-                    sse2_l2_within(&a, &b, eps),
-                    kernels::l2_within(&a, &b, eps),
-                    "l2 within d={dims} eps={eps}"
-                );
-                assert_eq!(
-                    sse2_l1_within(&a, &b, eps),
-                    kernels::l1_within(&a, &b, eps),
-                    "l1 within d={dims} eps={eps}"
-                );
-                assert_eq!(
-                    sse2_linf_within(&a, &b, eps),
-                    kernels::linf_within(&a, &b, eps),
-                    "linf within d={dims} eps={eps}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn avx2_pair_kernels_are_bit_identical_to_scalar() {
-        if !avx2_available() {
-            return;
-        }
-        for dims in [1, 2, 3, 4, 5, 7, 8, 15, 16, 17, 63, 64, 65] {
-            let a = pt(dims, 5);
-            let b = pt(dims, 17);
-            assert_eq!(
-                avx2_l1_distance(&a, &b).to_bits(),
-                kernels::l1_distance(&a, &b).to_bits(),
-                "l1 d={dims}"
-            );
-            assert_eq!(
-                avx2_l2_distance(&a, &b).to_bits(),
-                kernels::l2_distance(&a, &b).to_bits(),
-                "l2 d={dims}"
-            );
-            assert_eq!(
-                avx2_linf_distance(&a, &b).to_bits(),
-                kernels::linf_distance(&a, &b).to_bits(),
-                "linf d={dims}"
-            );
-            for eps in [0.01, 0.2, 1.0, 10.0] {
-                assert_eq!(
-                    avx2_l2_within(&a, &b, eps),
-                    kernels::l2_within(&a, &b, eps),
-                    "l2 within d={dims} eps={eps}"
-                );
-                assert_eq!(
-                    avx2_l1_within(&a, &b, eps),
-                    kernels::l1_within(&a, &b, eps),
-                    "l1 within d={dims} eps={eps}"
-                );
-                assert_eq!(
-                    avx2_linf_within(&a, &b, eps),
-                    kernels::linf_within(&a, &b, eps),
-                    "linf within d={dims} eps={eps}"
-                );
-            }
-        }
-    }
 
     #[test]
     fn block_kernels_match_per_pair_decisions_exactly() {

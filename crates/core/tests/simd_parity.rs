@@ -1,12 +1,13 @@
-//! Differential property tests for the SIMD kernel tiers.
+//! Differential property tests for the SIMD block-kernel tiers.
 //!
 //! The dispatch contract (see `hdsj_core::simd`) promises that every tier
-//! computes the *bit-identical* distance of the 4-lane scalar kernels and
-//! the *exactly identical* `within` decision. This suite drives randomized
-//! NaN-free inputs — spanning subnormals, mixed magnitudes, and both signs
-//! — through every tier the host supports and pins both promises against
-//! the scalar oracle, for the pair kernels and the SoA block kernels
-//! alike. It also pins the SoA transpose itself as bit-lossless.
+//! of the `*_within_block` kernels returns *exactly* the decisions of the
+//! 4-lane scalar pair kernels in `hdsj_core::kernels`. This suite drives
+//! randomized NaN-free inputs — spanning subnormals, mixed magnitudes, and
+//! both signs, with ε pinned on the exact distance and its neighbouring
+//! f64 values — through every tier the host supports, on full lane ranges
+//! and ragged tails, and pins that promise against the scalar oracle. It
+//! also pins the SoA transpose itself as bit-lossless.
 //!
 //! Dimension choices deliberately straddle the kernels' structural
 //! boundaries: below/at/above the 4-lane width (1..8), the 16-dimension
@@ -43,17 +44,21 @@ fn coord() -> impl Strategy<Value = f64> {
     ]
 }
 
-/// A pair of equal-length coordinate vectors at a boundary-straddling
-/// dimensionality.
+/// A dimensionality from [`DIMS`].
 fn dims() -> impl Strategy<Value = usize> {
     (0usize..DIMS.len()).prop_map(|i| DIMS[i])
 }
 
-fn vec_pair() -> impl Strategy<Value = (Vec<f64>, Vec<f64>)> {
+/// A dataset of wild-magnitude [`coord`] rows at a boundary-straddling
+/// dimensionality, plus the index of one row whose distance to row 0
+/// pins the ε boundary.
+fn wild_dataset() -> impl Strategy<Value = (Dataset, usize)> {
     dims().prop_flat_map(|d| {
-        (
-            proptest::collection::vec(coord(), d),
-            proptest::collection::vec(coord(), d),
+        proptest::collection::vec(proptest::collection::vec(coord(), d), 1..24).prop_flat_map(
+            |rows| {
+                let n = rows.len();
+                (Just(Dataset::from_rows(&rows).unwrap()), 0..n)
+            },
         )
     })
 }
@@ -82,72 +87,58 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
     #[test]
-    fn distances_are_bit_identical_at_every_tier(pair in vec_pair()) {
-        let (a, b) = pair;
+    fn block_decisions_are_exact_on_the_boundary_at_every_tier(case in wild_dataset()) {
+        let (ds, pivot) = case;
+        let n = ds.len() as u32;
+        let block = SoABlock::from_range(&ds, 0..n);
+        let probe = ds.point(0).to_vec();
+        let other = ds.point(pivot as u32);
+        // ε pinned to the probe-to-pivot distance and its bit-neighbours:
+        // the group-wide early exits must agree with the full sum exactly
+        // on the boundary, for the pivot and every other lane alike.
+        let d1 = kernels::l1_distance(&probe, other);
+        let d2 = kernels::l2_distance(&probe, other);
+        let di = kernels::linf_distance(&probe, other);
+        let dp = kernels::lp_distance(&probe, other, 2.5);
+        let full = 0..block.len();
+        let tail = block.len() / 3..block.len();
         let saved = simd::level();
         for tier in simd::supported() {
             prop_assert_eq!(simd::set_level(tier), tier);
-            prop_assert_eq!(
-                simd::l1_distance(&a, &b).to_bits(),
-                kernels::l1_distance(&a, &b).to_bits(),
-                "l1 at {:?}", tier
-            );
-            prop_assert_eq!(
-                simd::l2_distance(&a, &b).to_bits(),
-                kernels::l2_distance(&a, &b).to_bits(),
-                "l2 at {:?}", tier
-            );
-            prop_assert_eq!(
-                simd::linf_distance(&a, &b).to_bits(),
-                kernels::linf_distance(&a, &b).to_bits(),
-                "linf at {:?}", tier
-            );
-            prop_assert_eq!(
-                simd::lp_distance(&a, &b, 2.5).to_bits(),
-                kernels::lp_distance(&a, &b, 2.5).to_bits(),
-                "lp at {:?}", tier
-            );
-        }
-        simd::set_level(saved);
-    }
-
-    #[test]
-    fn within_decisions_are_exact_at_every_tier(pair in vec_pair()) {
-        let (a, b) = pair;
-        // ε pinned to the true distance and its bit-neighbours: the early
-        // exits must agree with the full sum even exactly on the boundary.
-        let d1 = kernels::l1_distance(&a, &b);
-        let d2 = kernels::l2_distance(&a, &b);
-        let di = kernels::linf_distance(&a, &b);
-        let saved = simd::level();
-        for tier in simd::supported() {
-            simd::set_level(tier);
-            for eps in boundary_eps(d1) {
-                prop_assert_eq!(
-                    simd::l1_within(&a, &b, eps),
-                    kernels::l1_within(&a, &b, eps),
-                    "l1 at {:?} eps {}", tier, eps
-                );
+            for lanes in [full.clone(), tail.clone()] {
+                let want = |within: &dyn Fn(&[f64]) -> bool| -> Vec<u32> {
+                    block.ids()[lanes.clone()]
+                        .iter()
+                        .copied()
+                        .filter(|&j| within(ds.point(j)))
+                        .collect()
+                };
+                let mut got = Vec::new();
+                for eps in boundary_eps(d1) {
+                    got.clear();
+                    simd::l1_within_block(&probe, &block, lanes.clone(), eps, &mut got);
+                    let w = want(&|c| kernels::l1_within(&probe, c, eps));
+                    prop_assert_eq!(&got, &w, "l1 at {:?} lanes {:?} eps {}", tier, &lanes, eps);
+                }
+                for eps in boundary_eps(d2) {
+                    got.clear();
+                    simd::l2_within_block(&probe, &block, lanes.clone(), eps, &mut got);
+                    let w = want(&|c| kernels::l2_within(&probe, c, eps));
+                    prop_assert_eq!(&got, &w, "l2 at {:?} lanes {:?} eps {}", tier, &lanes, eps);
+                }
+                for eps in boundary_eps(di) {
+                    got.clear();
+                    simd::linf_within_block(&probe, &block, lanes.clone(), eps, &mut got);
+                    let w = want(&|c| kernels::linf_within(&probe, c, eps));
+                    prop_assert_eq!(&got, &w, "linf at {:?} lanes {:?} eps {}", tier, &lanes, eps);
+                }
+                for eps in boundary_eps(dp) {
+                    got.clear();
+                    simd::lp_within_block(&probe, &block, lanes.clone(), eps, 2.5, &mut got);
+                    let w = want(&|c| kernels::lp_within(&probe, c, eps, 2.5));
+                    prop_assert_eq!(&got, &w, "lp at {:?} lanes {:?} eps {}", tier, &lanes, eps);
+                }
             }
-            for eps in boundary_eps(d2) {
-                prop_assert_eq!(
-                    simd::l2_within(&a, &b, eps),
-                    kernels::l2_within(&a, &b, eps),
-                    "l2 at {:?} eps {}", tier, eps
-                );
-            }
-            for eps in boundary_eps(di) {
-                prop_assert_eq!(
-                    simd::linf_within(&a, &b, eps),
-                    kernels::linf_within(&a, &b, eps),
-                    "linf at {:?} eps {}", tier, eps
-                );
-            }
-            prop_assert_eq!(
-                simd::lp_within(&a, &b, d1.max(0.1), 2.5),
-                kernels::lp_within(&a, &b, d1.max(0.1), 2.5),
-                "lp at {:?}", tier
-            );
         }
         simd::set_level(saved);
     }
